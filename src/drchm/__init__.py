@@ -33,6 +33,8 @@ from .paths import (
     build_edges,
     edge_count_at,
     edge_count_path,
+    edge_count_path_at,
+    mark_split_marginals,
     mark_split_paths,
     normalize_path,
     pm_edge_count_paths,
@@ -73,4 +75,4 @@ from .experiments import ExperimentConfig, edge_count_ensemble, run_experiment
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

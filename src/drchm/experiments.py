@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -46,6 +47,7 @@ from .paths import (
     build_edges,
     edge_count_at,
     edge_count_path,
+    mark_split_marginals,
     mark_split_paths,
     pm_edge_count_paths,
 )
@@ -66,6 +68,9 @@ EXPERIMENT_KINDS = (
     "oracle-report",
     "sample-limit",
 )
+
+# Kinds whose runners read the middle entry of eval_times.
+_NEEDS_EVAL_TIMES = ("validate-gaussian", "validate-stable", "validate-marks")
 
 # Disjoint stream ranges for the independent sections of one experiment.
 _STREAM_BLOCK = 1_000_000
@@ -104,22 +109,27 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r}; "
                 f"expected one of {EXPERIMENT_KINDS}"
             )
-        if not (isinstance(self.replicates, int) and self.replicates >= 1):
-            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates}")
+        if not (_is_int(self.replicates) and self.replicates >= 1):
+            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        _check_window(self.model.n, "model.n")
         times = tuple(float(t) for t in self.eval_times)
         if any(not 0.0 <= t <= 1.0 for t in times):
             raise ValueError(f"eval_times must lie in [0, 1], got {times}")
         if times != tuple(sorted(times)):
             raise ValueError(f"eval_times must be sorted, got {times}")
+        if not times and self.kind in _NEEDS_EVAL_TIMES:
+            raise ValueError(f"{self.kind} needs at least one eval_times entry")
         object.__setattr__(self, "eval_times", times)
         object.__setattr__(self, "n_ladder", tuple(self.n_ladder))
+        for n in self.n_ladder:
+            _check_window(n, "n_ladder entry")
         object.__setattr__(self, "eps_sequence", tuple(float(e) for e in self.eps_sequence))
         if self.u_threshold is not None and not 0.0 < self.u_threshold < 1.0:
             raise ValueError(f"u_threshold must be in (0, 1), got {self.u_threshold}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers}")
-        if not (isinstance(self.grid_points, int) and self.grid_points >= 2):
-            raise ValueError(f"grid_points must be an integer >= 2, got {self.grid_points}")
+        if not (_is_int(self.workers) and self.workers >= 1):
+            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not (_is_int(self.grid_points) and self.grid_points >= 2):
+            raise ValueError(f"grid_points must be an integer >= 2, got {self.grid_points!r}")
 
     @property
     def mark_threshold(self) -> float:
@@ -157,6 +167,16 @@ class ExperimentConfig:
         out["n_ladder"] = list(self.n_ladder)
         out["eps_sequence"] = list(self.eps_sequence)
         return out
+
+
+def _is_int(value) -> bool:
+    """A real integer: bool is a subclass of int but is not accepted."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_window(n, label: str) -> None:
+    if isinstance(n, bool) or not (isinstance(n, numbers.Real) and math.isfinite(n) and n > 0):
+        raise ValueError(f"{label} must be a finite number > 0, got {n!r}")
 
 
 def _build_strict(cls, data: dict, label: str):
@@ -204,8 +224,7 @@ def _simulate_one(
         "edges": len(edges),
     }
     if u_threshold is not None:
-        low, high = mark_split_paths(edges, vs, u_threshold)
-        out["low_counts"] = np.atleast_1d(low(times))
+        out["low_counts"], high = mark_split_marginals(edges, vs, u_threshold, times)
         out["high_counts"] = np.atleast_1d(high(times))
         high_mean = mean_edge_count(params, u_threshold, 1.0)
         out["high_sup"] = float(np.max(np.abs(high.values - high_mean)))

@@ -38,18 +38,6 @@ MAX_GRID_POINTS = 512
 JITTER_BUDGET = 1e-10  # max jitter, as a fraction of mean diagonal
 
 
-def gaussian_covariance(params: ModelParams, lag, constants=None):
-    """Closed-form limiting covariance at the given lag.
-
-    Uses the circulating printed constant set by default; pass
-    oracles.adjudicated_constants(params) for the set that matches the
-    integral oracle.
-    """
-    if constants is None:
-        constants = CovarianceConstants.from_params(params)
-    return constants.covariance(lag)
-
-
 @dataclass
 class GaussianGrid:
     """A time grid with its covariance matrix and lower-triangular factor."""

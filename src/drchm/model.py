@@ -179,9 +179,6 @@ def mean_lifetime_overlap(b: float, l: float, t: float) -> float:
     return max(0.0, min(b + l, t) - b)
 
 
-GAUSSIAN_GAMMA_MAX = 0.5
-
-
 def require_gaussian(params: ModelParams) -> None:
     if params.gamma >= 0.5 or params.gamma_prime >= 0.5:
         raise RegimeError(

@@ -82,65 +82,76 @@ def build_edges(
 ) -> EdgeSet:
     """All connected (vertex, interaction) pairs.
 
-    Works band by band: within a weight band the radius of a vertex is at
-    most its radius against the band's smallest weight, so a sorted range
-    query over interaction positions yields candidates, which are then kept
-    or dropped by the exact predicate.  The result does not depend on the
-    band partition.
+    The vertices are sorted by position once, and each vertex's radius
+    factor beta * u**(-gamma) and each interaction's w**(-gamma_prime) are
+    computed once.  The interactions are grouped by band label with one
+    stable sort (labels need not be contiguous) and sorted by position
+    within each band.  Within a band every radius is at most the vertex's
+    radius against the band's smallest weight (``band_w_lo``, or the
+    smallest realized weight when that is empty), so two sorted range
+    queries per band, with the vertices' positions as sorted query centres,
+    yield every candidate pair.  The exact predicate alone decides which
+    candidates are edges, so the edge set does not depend on the vertex
+    order or on the band partition; only the order of the returned edges
+    does.
     """
-    vi_out, ii_out = [], []
     if len(vs) == 0 or len(interactions) == 0:
-        empty = np.array([], dtype=int)
-        return EdgeSet(empty, empty, np.array([]), np.array([]))
+        return _no_edges()
 
-    death = vs.death
-    for k in np.unique(interactions.band):
-        mask = interactions.band == k
-        idx = np.flatnonzero(mask)
-        z = interactions.z[idx]
-        order = np.argsort(z)
-        idx = idx[order]
-        z = z[order]
+    # Vertex arrays in position order, interaction arrays in grouped order.
+    v_order = np.argsort(vs.x)
+    x = vs.x[v_order]
+    v_radius = params.beta * vs.u[v_order] ** (-params.gamma)
+    by_band = np.argsort(interactions.band, kind="stable")
+    labels = interactions.band[by_band]
+    starts = np.flatnonzero(np.append(True, labels[1:] != labels[:-1]))
+    ends = np.append(starts[1:], len(labels))
+    lo_parts, count_parts = [], []
+    for s, e in zip(starts, ends):
+        group = by_band[s:e]
+        group = group[np.argsort(interactions.z[group])]
+        by_band[s:e] = group
+        z_band = interactions.z[group]
         w_lo = (
-            float(interactions.band_w_lo[k])
+            float(interactions.band_w_lo[labels[s]])
             if len(interactions.band_w_lo)
-            else float(interactions.w[idx].min())
+            else float(interactions.w[group].min())
         )
-        max_radius = params.beta * vs.u ** (-params.gamma) * w_lo ** (-params.gamma_prime)
-        lo = np.searchsorted(z, vs.x - max_radius, side="left")
-        hi = np.searchsorted(z, vs.x + max_radius, side="right")
-        counts = hi - lo
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        vrep = np.repeat(np.arange(len(vs)), counts)
-        offsets = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        cand = idx[np.repeat(lo, counts) + offsets]
-        r = interactions.r[cand]
-        ok = (
-            (np.abs(vs.x[vrep] - interactions.z[cand])
-             <= params.beta
-             * vs.u[vrep] ** (-params.gamma)
-             * interactions.w[cand] ** (-params.gamma_prime))
-            & (vs.b[vrep] <= r)
-            & (r <= death[vrep])
-        )
-        vi_out.append(vrep[ok])
-        ii_out.append(cand[ok])
+        reach = v_radius * w_lo ** (-params.gamma_prime)
+        lo = np.searchsorted(z_band, x - reach, side="left")
+        hi = np.searchsorted(z_band, x + reach, side="right")
+        lo_parts.append(lo + s)
+        count_parts.append(hi - lo)
+    z = interactions.z[by_band]
+    counts = np.concatenate(count_parts)
+    total = int(counts.sum())
+    if total == 0:
+        return _no_edges()
 
-    if not vi_out:
-        empty = np.array([], dtype=int)
-        return EdgeSet(empty, empty, np.array([]), np.array([]))
-    vi = np.concatenate(vi_out)
-    ii = np.concatenate(ii_out)
+    # Candidate k of query q sits at position lo[q] + k of the grouped order.
+    vrep = np.repeat(np.tile(np.arange(len(vs)), len(starts)), counts)
+    shift = np.concatenate(lo_parts) - (np.cumsum(counts) - counts)
+    pos = np.arange(total) + np.repeat(shift, counts)
+    # The exact predicate; the cheaper time test runs first and thins the
+    # candidates before the spatial test.
+    r = interactions.r[by_band][pos]
+    death = vs.death[v_order]
+    alive = (vs.b[v_order][vrep] <= r) & (r <= death[vrep])
+    vrep, pos, r = vrep[alive], pos[alive], r[alive]
+    w_factor = interactions.w[by_band] ** (-params.gamma_prime)
+    near = np.abs(x[vrep] - z[pos]) <= v_radius[vrep] * w_factor[pos]
+    vrep, pos = vrep[near], pos[near]
     return EdgeSet(
-        vertex_index=vi,
-        interaction_index=ii,
-        activation=interactions.r[ii],
-        deactivation=death[vi],
+        vertex_index=v_order[vrep],
+        interaction_index=by_band[pos],
+        activation=r[near],
+        deactivation=death[vrep],
     )
+
+
+def _no_edges() -> EdgeSet:
+    empty = np.array([], dtype=int)
+    return EdgeSet(empty, empty, np.array([]), np.array([]))
 
 
 def build_edges_brute_force(
@@ -176,21 +187,17 @@ def build_edges_brute_force(
 def _step_path_from_events(plus_times, minus_times, initial: float) -> StepPath:
     """Accumulate +1/-1 events in (0, 1] into a step path.
 
-    At equal times the +1 events are applied before the -1 events, so an edge
-    active for a single instant is counted there.
+    The level after a time counts every event at that time, so the order of
+    tied events does not matter.
     """
     times = np.concatenate([plus_times, minus_times])
+    if len(times) == 0:
+        return StepPath.constant(initial)
     deltas = np.concatenate(
         [np.ones(len(plus_times)), -np.ones(len(minus_times))]
     )
-    # Stable sort with activations first at ties.
-    tie_rank = np.concatenate(
-        [np.zeros(len(plus_times)), np.ones(len(minus_times))]
-    )
-    order = np.lexsort((tie_rank, times))
+    order = np.argsort(times)
     times = times[order]
-    if len(times) == 0:
-        return StepPath.constant(initial)
     levels = initial + np.cumsum(deltas[order])
     last = np.append(times[1:] != times[:-1], True)
     return StepPath(
@@ -199,8 +206,9 @@ def _step_path_from_events(plus_times, minus_times, initial: float) -> StepPath:
     )
 
 
-def edge_count_path(edges: EdgeSet, t_max: float = 1.0) -> StepPath:
-    """S(t) = number of edges with activation <= t <= deactivation, t in [0, 1]."""
+def _count_events(edges: EdgeSet, t_max: float):
+    """The +1 and -1 event times in (0, t_max] and the initial level of
+    edge_count_path."""
     act = edges.activation
     deact = edges.deactivation
     relevant = (act <= t_max) & (deact >= 0.0) & (act <= deact)
@@ -209,7 +217,29 @@ def edge_count_path(edges: EdgeSet, t_max: float = 1.0) -> StepPath:
     initial = float(np.sum(act <= 0.0) - np.sum(deact <= 0.0))
     plus = act[act > 0.0]
     minus = deact[(deact > 0.0) & (deact < t_max)]
-    return _step_path_from_events(plus, minus, initial)
+    return plus, minus, initial
+
+
+def edge_count_path(edges: EdgeSet, t_max: float = 1.0) -> StepPath:
+    """S(t) = number of edges with activation <= t < deactivation, t in
+    [0, t_max]; an edge deactivating at or after t_max stays through t_max."""
+    return _step_path_from_events(*_count_events(edges, t_max))
+
+
+def edge_count_path_at(edges: EdgeSet, t) -> np.ndarray:
+    """edge_count_path(edges)(t) without building the path.
+
+    The path's value at t is its initial level plus the +1 events at times
+    <= t minus the -1 events at times <= t, so two sorted counts give it
+    exactly, as floats equal to the path's values.
+    """
+    plus, minus, initial = _count_events(edges, 1.0)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return (
+        initial
+        + np.searchsorted(np.sort(plus), t, side="right")
+        - np.searchsorted(np.sort(minus), t, side="right")
+    )
 
 
 def edge_count_at(edges: EdgeSet, t) -> np.ndarray:
@@ -259,10 +289,29 @@ def mark_split_paths(
 
     low(t) + high(t) == S(t) for every t, since the edge set is partitioned.
     """
+    low, high = _split_by_mark(edges, vs, u_threshold)
+    return edge_count_path(low), edge_count_path(high)
+
+
+def mark_split_marginals(
+    edges: EdgeSet,
+    vs: VertexSample,
+    u_threshold: float,
+    t,
+) -> tuple[np.ndarray, StepPath]:
+    """The low path of mark_split_paths at times t, and the high path.
+
+    Equal to (low(t), high) for (low, high) = mark_split_paths(...).  The low
+    part is counted at t, not built; the high path is built because callers
+    also need its values over the whole horizon.
+    """
+    low, high = _split_by_mark(edges, vs, u_threshold)
+    return edge_count_path_at(low, t), edge_count_path(high)
+
+
+def _split_by_mark(edges: EdgeSet, vs: VertexSample, u_threshold: float):
     low_mask = vs.u[edges.vertex_index] < u_threshold
-    low = edge_count_path(_subset(edges, low_mask))
-    high = edge_count_path(_subset(edges, ~low_mask))
-    return low, high
+    return _subset(edges, low_mask), _subset(edges, ~low_mask)
 
 
 def _subset(edges: EdgeSet, mask: np.ndarray) -> EdgeSet:

@@ -9,6 +9,7 @@ import pytest
 from drchm.cli import main
 from drchm.experiments import (
     ExperimentConfig,
+    _simulate_one,
     edge_count_ensemble,
     run_experiment,
     run_simulate,
@@ -17,8 +18,9 @@ from drchm.experiments import (
     run_sample_limit,
 )
 from drchm.model import ModelParams
-from drchm.paths import StepPath
-from drchm.sampler import SamplerConfig
+from drchm.oracles import mean_edge_count
+from drchm.paths import StepPath, build_edges, mark_split_paths
+from drchm.sampler import SamplerConfig, sample_interactions, sample_vertices
 
 
 def _base_config(**overrides):
@@ -85,6 +87,30 @@ class TestConfigParsing:
         fname.write_text(json.dumps(_base_config()))
         assert ExperimentConfig.from_json(fname).replicates == 5
 
+    @pytest.mark.parametrize("key", ["replicates", "workers", "grid_points"])
+    def test_bool_is_not_an_integer(self, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(_base_config(**{key: True}))
+
+    @pytest.mark.parametrize("n", [0, -1.0, float("inf"), float("nan"), True])
+    def test_window_must_be_finite_positive(self, n):
+        data = _base_config()
+        data["model"]["n"] = n
+        with pytest.raises(ValueError, match="n must be"):
+            ExperimentConfig.from_dict(data)
+
+    def test_n_ladder_entries_checked(self):
+        with pytest.raises(ValueError, match="n_ladder"):
+            ExperimentConfig.from_dict(_base_config(n_ladder=[100, 0]))
+
+    @pytest.mark.parametrize("kind", ["validate-gaussian", "validate-stable", "validate-marks"])
+    def test_empty_eval_times_rejected_where_needed(self, kind):
+        with pytest.raises(ValueError, match="eval_times"):
+            ExperimentConfig.from_dict(_base_config(kind=kind, eval_times=[]))
+
+    def test_empty_eval_times_allowed_for_simulate(self):
+        assert ExperimentConfig.from_dict(_base_config(eval_times=[])).eval_times == ()
+
     def test_default_mark_threshold(self):
         cfg = ExperimentConfig.from_dict(_base_config())
         assert cfg.mark_threshold == pytest.approx(50.0 ** (-2.0 / 3.0))
@@ -142,6 +168,31 @@ class TestEnsemble:
         serial = edge_count_ensemble(p, scfg, (0.5,), 20, workers=1)
         parallel = edge_count_ensemble(p, scfg, (0.5,), 20, workers=4)
         np.testing.assert_array_equal(serial["counts"], parallel["counts"])
+
+    @pytest.mark.parametrize(
+        "params, thr",
+        [
+            (ModelParams(0.25, 0.2, 0.2, 50.0), 50.0 ** (-2.0 / 3.0)),
+            (ModelParams(0.25, 0.7, 0.2, 200.0), 0.3),
+        ],
+    )
+    def test_marginals_equal_mark_split_paths(self, params, thr):
+        # low_counts, high_counts and high_sup equal the two-path route
+        # exactly, also at eval times that coincide with edge events.
+        scfg = SamplerConfig(master_seed=9, w_min=1e-6)
+        for stream in range(4):
+            vs = sample_vertices(params, scfg, stream)
+            edges = build_edges(params, vs, sample_interactions(params, scfg, vs, stream))
+            events = np.concatenate([edges.activation[:2], edges.deactivation[:2]])
+            times = np.unique(np.concatenate([[0.0, 0.5, 1.0], events[(events >= 0) & (events <= 1)]]))
+            rep = _simulate_one(params, scfg, stream, tuple(times), thr)
+            low, high = mark_split_paths(edges, vs, thr)
+            assert np.all(rep["low_counts"] == low(times))
+            assert np.all(rep["high_counts"] == high(times))
+            assert rep["high_sup"] == float(
+                np.max(np.abs(high.values - mean_edge_count(params, thr, 1.0)))
+            )
+            assert rep["low_counts"].dtype == low(times).dtype
 
 
 class TestRunners:
@@ -280,6 +331,24 @@ class TestCLI:
             main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
             == 3
         )
+
+    def _exit_two_one_line(self, tmp_path, capsys, kind, data):
+        code = main([kind, "--config", self._write(tmp_path, data), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
+
+    def test_empty_eval_times_exit_two(self, tmp_path, capsys):
+        data = _base_config(kind="validate-gaussian", replicates=3, eval_times=[])
+        self._exit_two_one_line(tmp_path, capsys, "validate-gaussian", data)
+
+    def test_bool_replicates_exit_two(self, tmp_path, capsys):
+        self._exit_two_one_line(tmp_path, capsys, "simulate", _base_config(replicates=True))
+
+    def test_zero_window_exit_two(self, tmp_path, capsys):
+        data = _base_config(replicates=2)
+        data["model"]["n"] = 0
+        self._exit_two_one_line(tmp_path, capsys, "simulate", data)
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drchm.model import ModelParams
 from drchm.paths import (
@@ -10,6 +12,8 @@ from drchm.paths import (
     build_edges_brute_force,
     edge_count_at,
     edge_count_path,
+    edge_count_path_at,
+    mark_split_marginals,
     mark_split_paths,
     normalize_path,
     pm_edge_count_paths,
@@ -21,8 +25,12 @@ from drchm.sampler import (
     VertexSample,
     sample_interactions,
     sample_vertices,
+    weight_bands,
 )
 from drchm.paths import EdgeSet
+
+# Property tests run a fixed, reproducible set of examples.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
 def _single_instance(r: float):
@@ -107,6 +115,94 @@ class TestBuildEdges:
             band=np.array([], dtype=int),
         )
         assert len(build_edges(p, empty_v, empty_i)) == 0
+
+
+def _pair_key(edges):
+    return sorted(
+        zip(edges.vertex_index, edges.interaction_index, edges.activation, edges.deactivation)
+    )
+
+
+@st.composite
+def _pairing_instances(draw):
+    """A random model and sample, possibly without vertices or
+    interactions, whose interactions carry shuffled, non-contiguous band
+    labels; band_w_lo bounds each band's weights from below and differs per
+    band, labels without interactions hold a value no weight respects, and
+    half the instances drop band_w_lo to exercise the fallback."""
+    p = ModelParams(
+        beta=draw(st.floats(0.01, 1.0)),
+        gamma=draw(st.floats(0.01, 0.95).filter(lambda g: g != 0.5)),
+        gamma_prime=draw(st.floats(0.01, 0.95)),
+        n=draw(st.floats(0.5, 20.0)),
+    )
+    w_min = 10.0 ** draw(st.floats(-10.0, -0.5))
+    band_ratio = draw(st.floats(0.05, 0.95))
+    nv = draw(st.integers(0, 40))
+    ni = draw(st.integers(0, 60))
+    fallback = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    bands = weight_bands(SamplerConfig(w_min=w_min, band_ratio=band_ratio))
+    labels = rng.choice(3 * len(bands), size=len(bands), replace=False)
+    band_w_lo = np.full(3 * len(bands), 2.0)
+    band_w_lo[labels] = [lo for _, lo in bands]
+    k = rng.integers(0, len(bands), ni)
+    hi_w = np.array([hi for hi, _ in bands])[k]
+    lo_w = np.array([lo for _, lo in bands])[k]
+    vs = VertexSample(
+        x=rng.uniform(0.0, p.n, nv),
+        u=1.0 - rng.random(nv),
+        b=rng.uniform(-2.0, 1.0, nv),
+        l=rng.exponential(size=nv) + 1e-9,
+    )
+    inter = InteractionSample(
+        z=rng.uniform(-p.n, 2.0 * p.n, ni),
+        w=rng.uniform(lo_w, hi_w),
+        r=rng.uniform(-2.0, 1.0, ni),
+        band=labels[k],
+        band_w_lo=np.array([]) if fallback else band_w_lo,
+    )
+    return p, vs, inter
+
+
+class TestPairingProperties:
+    @PROPERTY
+    @given(_pairing_instances())
+    def test_matches_brute_force(self, instance):
+        p, vs, inter = instance
+        fast = build_edges(p, vs, inter)
+        assert _pair_key(fast) == _pair_key(build_edges_brute_force(p, vs, inter))
+
+    def test_labels_are_grouped_not_sliced(self):
+        # Two bands with interleaved labels; band 7 holds the small weights
+        # and so needs the long reach of its own band_w_lo.
+        p = ModelParams(0.25, 0.7, 0.5, 10.0)
+        vs = VertexSample(
+            x=np.array([5.0]), u=np.array([1.0]), b=np.array([0.0]), l=np.array([1.0])
+        )
+        z = np.array([5.1, 9.0, 5.2, 1.0, 5.25])
+        w = np.array([0.9, 1e-4, 0.8, 1e-4, 0.7])
+        band = np.array([2, 7, 2, 7, 2])
+        band_w_lo = np.full(8, 2.0)
+        band_w_lo[2], band_w_lo[7] = 0.5, 1e-4
+        inter = InteractionSample(
+            z=z, w=w, r=np.full(5, 0.5), band=band, band_w_lo=band_w_lo
+        )
+        edges = build_edges(p, vs, inter)
+        assert sorted(edges.interaction_index) == [0, 1, 2, 3, 4]
+        assert _pair_key(edges) == _pair_key(build_edges_brute_force(p, vs, inter))
+
+    def test_vertex_order_irrelevant(self):
+        rng = np.random.default_rng(5)
+        p, vs, inter = _random_instance(rng)
+        perm = rng.permutation(len(vs))
+        shuffled = VertexSample(x=vs.x[perm], u=vs.u[perm], b=vs.b[perm], l=vs.l[perm])
+        a = build_edges(p, vs, inter)
+        b = build_edges(p, shuffled, inter)
+        assert _pair_key(a) == _pair_key(
+            EdgeSet(perm[b.vertex_index], b.interaction_index, b.activation, b.deactivation)
+        )
 
 
 class TestStepPath:
@@ -228,6 +324,65 @@ class TestDecompositions:
         low, high = mark_split_paths(edges, vs, 1e-15)
         assert np.all(low.values == 0)
         np.testing.assert_allclose(high(grid), path(grid))
+
+
+# Event and evaluation times: horizon ends, dyadic interior points (so ties
+# are exact) and times outside the horizon.
+_TIMES = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5)
+
+
+@st.composite
+def _split_instances(draw):
+    """Edges on a few vertices: shared deaths, deaths <= 0 or >= 1,
+    activation after deactivation, and eval times on event times."""
+    nv = draw(st.integers(1, 6))
+    death = np.array(draw(st.lists(st.sampled_from(_TIMES), min_size=nv, max_size=nv)))
+    u = np.array(
+        draw(st.lists(st.sampled_from((0.05, 0.3, 0.5, 1.0)), min_size=nv, max_size=nv))
+    )
+    ne = draw(st.integers(0, 25))
+    vi = np.array(draw(st.lists(st.integers(0, nv - 1), min_size=ne, max_size=ne)), dtype=int)
+    act = np.array(draw(st.lists(st.sampled_from(_TIMES), min_size=ne, max_size=ne)))
+    vs = VertexSample(x=np.zeros(nv), u=u, b=death - 1.0, l=np.ones(nv))
+    edges = EdgeSet(vi, np.arange(ne), act, vs.death[vi])
+    thr = draw(st.sampled_from((0.05, 0.3, 0.5, 0.9)))
+    t = np.array(sorted(draw(st.lists(st.sampled_from(_TIMES[1:-1] + (0.1,)), min_size=1))))
+    return edges, vs, thr, t
+
+
+class TestCountOnlyMarginals:
+    @PROPERTY
+    @given(_split_instances())
+    def test_equals_mark_split_paths(self, instance):
+        edges, vs, thr, t = instance
+        low, high = mark_split_paths(edges, vs, thr)
+        low_at, high_path = mark_split_marginals(edges, vs, thr, t)
+        assert low_at.dtype == low(t).dtype
+        assert np.all(low_at == low(t))
+        assert np.all(high_path.times == high.times)
+        assert np.all(high_path.values == high.values)
+        assert np.all(edge_count_path_at(edges, t) == edge_count_path(edges)(t))
+
+    def test_hand_example(self):
+        # Vertex 0 (low) carries three edges sharing death 0.5; vertex 1
+        # (high) dies at 1.0 and carries an edge with act > deact.
+        vs = VertexSample(
+            x=np.zeros(2), u=np.array([0.1, 0.9]),
+            b=np.array([-0.5, 0.0]), l=np.array([1.0, 1.0]),
+        )
+        edges = EdgeSet(
+            vertex_index=np.array([0, 0, 0, 1, 1]),
+            interaction_index=np.arange(5),
+            activation=np.array([-0.25, 0.25, 0.5, 0.5, 1.5]),
+            deactivation=np.array([0.5, 0.5, 0.5, 1.0, 1.0]),
+        )
+        t = np.array([0.0, 0.25, 0.5, 1.0])
+        low_at, high = mark_split_marginals(edges, vs, 0.5, t)
+        # the cadlag path has dropped vertex 0's edges at its death 0.5
+        np.testing.assert_array_equal(low_at, [1.0, 2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(high(t), [0.0, 0.0, 1.0, 1.0])
+        low, _ = mark_split_paths(edges, vs, 0.5)
+        assert np.all(low_at == low(t))
 
 
 class TestNormalizeAndDistance:
