@@ -20,12 +20,13 @@ from drchm.stats import hill_tail_index
 params = ModelParams(beta=0.25, gamma=0.7, gamma_prime=0.2, n=1.0)
 cfg = SamplerConfig(master_seed=17)
 
-jumps = []
+parts = []
 stream = 0
-while len(jumps) < 50_000:
-    jumps.extend(p.j for p in sample_limit_points(params, 0.02, cfg, stream))
+while sum(map(len, parts)) < 50_000:
+    parts.append(sample_limit_points(params, 0.02, cfg, stream).j)
     stream += 1
-alpha, se = hill_tail_index(np.array(jumps), k=1000)
+jumps = np.concatenate(parts)
+alpha, se = hill_tail_index(jumps, k=1000)
 print(f"Hill tail index of {len(jumps)} sampled jumps: {alpha:.3f} +- {se:.3f} "
       f"(target 1/gamma = {1 / params.gamma:.4f})")
 

@@ -17,7 +17,7 @@ from .model import (
 )
 from .sampler import (
     InteractionSample,
-    LimitPoint,
+    LimitPointSample,
     SamplerConfig,
     VertexSample,
     limit_jump_threshold,

@@ -44,6 +44,7 @@ from .oracles import (
     stable_mean,
 )
 from .paths import (
+    _write_csv,
     build_edges,
     edge_count_at,
     edge_count_path,
@@ -56,6 +57,7 @@ from .stats import (
     cross_covariance,
     hill_tail_index,
     ks_distance,
+    mean_variance,
     normality_statistic,
     omnibus_threshold,
 )
@@ -74,6 +76,10 @@ _NEEDS_EVAL_TIMES = ("validate-gaussian", "validate-stable", "validate-marks")
 
 # Disjoint stream ranges for the independent sections of one experiment.
 _STREAM_BLOCK = 1_000_000
+
+# Largest window length: a replicate holds about 2n vertices, so at 1e9 it
+# already needs tens of gigabytes, and numpy's Poisson sampler stops near 9e18.
+MAX_WINDOW = 1e9
 
 
 @dataclass(frozen=True)
@@ -175,8 +181,8 @@ def _is_int(value) -> bool:
 
 
 def _check_window(n, label: str) -> None:
-    if isinstance(n, bool) or not (isinstance(n, numbers.Real) and math.isfinite(n) and n > 0):
-        raise ValueError(f"{label} must be a finite number > 0, got {n!r}")
+    if isinstance(n, bool) or not (isinstance(n, numbers.Real) and 0 < n <= MAX_WINDOW):
+        raise ValueError(f"{label} must be a number in (0, {MAX_WINDOW:g}], got {n!r}")
 
 
 def _build_strict(cls, data: dict, label: str):
@@ -245,13 +251,11 @@ def edge_count_ensemble(
     Streams are stream_offset + replicate index, so the ensemble is fully
     reproducible and independent of the worker count.
     """
-    streams = range(stream_offset, stream_offset + replicates)
-    task = lambda s: _simulate_one(params, scfg, s, eval_times, u_threshold)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, streams))
-    else:
-        results = [task(s) for s in streams]
+    results = _replicate_map(
+        lambda s: _simulate_one(params, scfg, s, eval_times, u_threshold),
+        range(stream_offset, stream_offset + replicates),
+        workers,
+    )
     out = {
         "counts": np.stack([r["counts"] for r in results]),
         "missed_edge_bound": np.array([r["missed_edge_bound"] for r in results]),
@@ -264,31 +268,14 @@ def edge_count_ensemble(
     return out
 
 
-def _moments(samples: np.ndarray) -> dict:
-    """Mean/variance with SEs; infinity sentinels below two replicates."""
-    x = np.asarray(samples, dtype=float)
-    if len(x) < 2:
-        return {
-            "count": int(len(x)),
-            "mean": float(x.mean()) if len(x) else float("nan"),
-            "mean_se": float("inf"),
-            "variance": float("nan"),
-            "variance_se": float("inf"),
-        }
-    var = float(x.var(ddof=1))
-    # delete-one variances in closed form for the jackknife SE
-    n = len(x)
-    dx = x - x.mean()
-    s2 = float(np.sum(dx**2))
-    var_i = (s2 - dx**2 * n / (n - 1)) / (n - 2) if n > 2 else np.array([var, var])
-    var_se = float(np.sqrt((n - 1) / n * np.sum((var_i - var_i.mean()) ** 2)))
-    return {
-        "count": n,
-        "mean": float(x.mean()),
-        "mean_se": float(np.sqrt(var / n)),
-        "variance": var,
-        "variance_se": var_se if n > 2 else float("inf"),
-    }
+def _replicate_map(task, streams, workers: int) -> list:
+    """[task(s) for s in streams], on a thread pool when workers > 1.  Each
+    replicate draws only from its own streams, so the worker count cannot
+    change the results."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, streams))
+    return [task(s) for s in streams]
 
 
 def write_jsonl(path, records) -> None:
@@ -305,28 +292,28 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     """Per-replicate marginals (and optional path CSVs) plus a summary."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     center, scale = normalization(cfg.model)
-    records = []
-    path_files = []
-    for rep in range(cfg.replicates):
+    path_files = [
+        os.path.join(cfg.out_dir, f"replicate_{rep:06d}.csv") for rep in range(cfg.replicates)
+    ]
+
+    def replicate(rep: int) -> dict:
         vs = sample_vertices(cfg.model, cfg.sampler, rep)
         interactions = sample_interactions(cfg.model, cfg.sampler, vs, rep)
         edges = build_edges(cfg.model, vs, interactions)
         path = edge_count_path(edges)
-        counts = np.atleast_1d(path(np.asarray(cfg.eval_times)))
-        records.append(
-            {
-                "replicate": rep,
-                "eval_times": list(cfg.eval_times),
-                "edge_count": [float(c) for c in counts],
-                "normalized": [float((c - center) / scale) for c in counts],
-                "missed_edge_bound": interactions.missed_edge_bound,
-                "edges": len(edges),
-            }
-        )
         if cfg.write_paths:
-            fname = os.path.join(cfg.out_dir, f"replicate_{rep:06d}.csv")
-            path.to_csv(fname)
-            path_files.append(fname)
+            path.to_csv(path_files[rep])
+        counts = np.atleast_1d(path(np.asarray(cfg.eval_times)))
+        return {
+            "replicate": rep,
+            "eval_times": list(cfg.eval_times),
+            "edge_count": [float(c) for c in counts],
+            "normalized": [float((c - center) / scale) for c in counts],
+            "missed_edge_bound": interactions.missed_edge_bound,
+            "edges": len(edges),
+        }
+
+    records = _replicate_map(replicate, range(cfg.replicates), cfg.workers)
     counts = np.array([r["edge_count"] for r in records])
     summary = {
         "section": "summary",
@@ -335,7 +322,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         "mean_center": center,
         "scale": scale,
         "per_time": [
-            {"t": t, **_moments(counts[:, i])}
+            {"t": t, **mean_variance(counts[:, i])}
             for i, t in enumerate(cfg.eval_times)
         ],
         "max_missed_edge_bound": float(
@@ -344,7 +331,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     }
     report = os.path.join(cfg.out_dir, "simulate_summary.jsonl")
     write_jsonl(report, records + [summary])
-    return {"report": report, "paths": path_files, "summary": summary}
+    return {"report": report, "paths": path_files if cfg.write_paths else [], "summary": summary}
 
 
 def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
@@ -368,7 +355,7 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
     records = []
 
     for i, t in enumerate(cfg.eval_times):
-        mom = _moments(normed[:, i])
+        mom = mean_variance(normed[:, i])
         oracle = oracle_variance(p, float(t)) / p.n
         records.append(
             {
@@ -444,7 +431,7 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
             stream_offset=(k + 1) * _STREAM_BLOCK,
         )
         low_normed = ens["low_counts"][:, 0] / math.sqrt(float(n))
-        mom = _moments(low_normed)
+        mom = mean_variance(low_normed)
         low_vars.append(mom["variance"])
         records.append(
             {
@@ -474,15 +461,14 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
 
 def _collect_jumps(cfg: ExperimentConfig) -> np.ndarray:
     """Jump sizes from the limiting-process sampler, cfg.jump_samples many."""
-    jumps = []
+    parts = [np.array([])]
     total = 0
     stream = 10 * _STREAM_BLOCK
     while total < cfg.jump_samples:
-        points = sample_limit_points(cfg.model, cfg.epsilon, cfg.sampler, stream)
-        jumps.extend(pt.j for pt in points)
-        total = len(jumps)
+        parts.append(sample_limit_points(cfg.model, cfg.epsilon, cfg.sampler, stream).j)
+        total += len(parts[-1])
         stream += 1
-    return np.array(jumps[: cfg.jump_samples])
+    return np.concatenate(parts)[: cfg.jump_samples]
 
 
 def run_validate_stable(cfg: ExperimentConfig) -> dict:
@@ -617,9 +603,9 @@ def run_validate_marks(cfg: ExperimentConfig) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
     p = cfg.model
     thr = cfg.mark_threshold
-    records = []
-    low_counts, high_counts = [], []
-    for rep in range(cfg.replicates):
+    t_mid = float(cfg.eval_times[len(cfg.eval_times) // 2])
+
+    def replicate(rep: int) -> tuple[dict, float, float]:
         vs = sample_vertices(p, cfg.sampler, rep)
         interactions = sample_interactions(p, cfg.sampler, vs, rep)
         edges = build_edges(p, vs, interactions)
@@ -631,47 +617,39 @@ def run_validate_marks(cfg: ExperimentConfig) -> dict:
                 [path.times, plus.times, minus.times, low.times, high.times, [1.0]]
             )
         )
-        pm_err = float(np.max(np.abs(plus(grid) - minus(grid) - path(grid))))
-        split_err = float(np.max(np.abs(low(grid) + high(grid) - path(grid))))
-        t_mid = float(cfg.eval_times[len(cfg.eval_times) // 2])
-        low_counts.append(float(low(t_mid)))
-        high_counts.append(float(high(t_mid)))
-        records.append(
-            {
-                "section": "replicate",
-                "replicate": rep,
-                "pm_identity_max_abs_err": pm_err,
-                "split_identity_max_abs_err": split_err,
-                "monotone_pm": bool(
-                    np.all(np.diff(plus.values) >= 0)
-                    and np.all(np.diff(minus.values) >= 0)
-                ),
-            }
-        )
-    low_mom = _moments(np.array(low_counts))
-    high_mom = _moments(np.array(high_counts))
-    records.append(
-        {
-            "section": "summary",
-            "u_threshold": thr,
-            "low_mean": low_mom["mean"],
-            "low_mean_se": low_mom["mean_se"],
-            "low_mean_oracle": mean_edge_count(p, 0.0, thr),
-            "high_mean": high_mom["mean"],
-            "high_mean_se": high_mom["mean_se"],
-            "high_mean_oracle": mean_edge_count(p, thr, 1.0),
-            "max_pm_identity_err": max(
-                r["pm_identity_max_abs_err"] for r in records[:-1] if "replicate" in r
-            )
-            if cfg.replicates
-            else 0.0,
-            "max_split_identity_err": max(
-                r["split_identity_max_abs_err"] for r in records[:-1] if "replicate" in r
-            )
-            if cfg.replicates
-            else 0.0,
+        record = {
+            "section": "replicate",
+            "replicate": rep,
+            "pm_identity_max_abs_err": float(
+                np.max(np.abs(plus(grid) - minus(grid) - path(grid)))
+            ),
+            "split_identity_max_abs_err": float(
+                np.max(np.abs(low(grid) + high(grid) - path(grid)))
+            ),
+            "monotone_pm": bool(
+                np.all(np.diff(plus.values) >= 0)
+                and np.all(np.diff(minus.values) >= 0)
+            ),
         }
-    )
+        return record, float(low(t_mid)), float(high(t_mid))
+
+    results = _replicate_map(replicate, range(cfg.replicates), cfg.workers)
+    records = [r for r, _, _ in results]
+    low_mom = mean_variance([low for _, low, _ in results])
+    high_mom = mean_variance([high for _, _, high in results])
+    summary = {
+        "section": "summary",
+        "u_threshold": thr,
+        "low_mean": low_mom["mean"],
+        "low_mean_se": low_mom["mean_se"],
+        "low_mean_oracle": mean_edge_count(p, 0.0, thr),
+        "high_mean": high_mom["mean"],
+        "high_mean_se": high_mom["mean_se"],
+        "high_mean_oracle": mean_edge_count(p, thr, 1.0),
+        "max_pm_identity_err": max(r["pm_identity_max_abs_err"] for r in records),
+        "max_split_identity_err": max(r["split_identity_max_abs_err"] for r in records),
+    }
+    records.append(summary)
     report = os.path.join(cfg.out_dir, "validate_marks.jsonl")
     write_jsonl(report, records)
     return {"report": report, "records": records}
@@ -732,53 +710,51 @@ def run_sample_limit(cfg: ExperimentConfig) -> dict:
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
-    records = []
-    files = []
+    files = [
+        os.path.join(cfg.out_dir, f"limit_path_{rep:06d}.csv")
+        for rep in range(cfg.replicates)
+    ]
     if cfg.model.regime == "gaussian":
         ggrid = GaussianGrid.build(cfg.model, grid)
-        for rep in range(cfg.replicates):
+
+        def replicate(rep: int) -> dict:
             values = sample_gaussian_path(ggrid, cfg.sampler, rep)
-            fname = os.path.join(cfg.out_dir, f"limit_path_{rep:06d}.csv")
-            _write_grid_csv(fname, grid, values)
-            files.append(fname)
-            records.append(
-                {
-                    "section": "replicate",
-                    "replicate": rep,
-                    "regime": "gaussian",
-                    "jitter": ggrid.jitter,
-                    "values_at_eval_times": [
-                        float(np.interp(t, grid, values)) for t in cfg.eval_times
-                    ],
-                }
-            )
+            _write_grid_csv(files[rep], grid, values)
+            return {
+                "section": "replicate",
+                "replicate": rep,
+                "regime": "gaussian",
+                "jitter": ggrid.jitter,
+                "values_at_eval_times": [
+                    float(np.interp(t, grid, values)) for t in cfg.eval_times
+                ],
+            }
+
+        records = _replicate_map(replicate, range(cfg.replicates), cfg.workers)
     else:
-        for rep in range(cfg.replicates):
+
+        def replicate(rep: int) -> dict:
             sample = sample_stable_path(cfg.model, cfg.epsilon, cfg.sampler, rep)
-            fname = os.path.join(cfg.out_dir, f"limit_path_{rep:06d}.csv")
-            sample.path.to_csv(fname, grid)
-            files.append(fname)
-            records.append(
-                {
-                    "section": "replicate",
-                    "replicate": rep,
-                    "regime": "stable",
-                    "epsilon": cfg.epsilon,
-                    "mean": sample.mean,
-                    "points": len(sample.points),
-                    "values_at_eval_times": [
-                        float(sample.path(t)) for t in cfg.eval_times
-                    ],
-                }
-            )
+            _write_grid_csv(files[rep], grid, sample.path(grid))
+            return {
+                "section": "replicate",
+                "replicate": rep,
+                "regime": "stable",
+                "epsilon": cfg.epsilon,
+                "mean": sample.mean,
+                "points": len(sample.points),
+                "values_at_eval_times": [
+                    float(sample.path(t)) for t in cfg.eval_times
+                ],
+            }
+
+        records = _replicate_map(replicate, range(cfg.replicates), cfg.workers)
         records.append(
             {
                 "section": "summary",
                 "epsilon": cfg.epsilon,
                 "stable_mean": stable_mean(cfg.model, cfg.epsilon),
-                "band_variance_0p1_0p01": stable_band_variance(cfg.model, 0.1, 0.01)
-                if cfg.model.regime == "stable"
-                else None,
+                "band_variance_0p1_0p01": stable_band_variance(cfg.model, 0.1, 0.01),
             }
         )
     report = os.path.join(cfg.out_dir, "sample_limit.jsonl")
@@ -787,14 +763,8 @@ def run_sample_limit(cfg: ExperimentConfig) -> dict:
 
 
 def _write_grid_csv(path, times, values) -> None:
-    """Grid samples as (t, value) rows; same layout as StepPath.to_csv."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(times, values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    """Limit-path samples on the output grid, in StepPath.to_csv's layout."""
+    _write_csv(path, times, values)
 
 
 RUNNERS = {

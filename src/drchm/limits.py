@@ -11,7 +11,6 @@ jump sizes, so refining a level only ever adds points.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,10 @@ from .oracles import CovarianceConstants, stable_mean
 from .paths import StepPath
 from .rng import stream_generator
 from .sampler import (
-    LimitPoint,
+    LimitPointSample,
     SamplerConfig,
+    _alive_at_zero,
+    _born_in_horizon,
     _nu_tail,
     limit_jump_threshold,
     sample_limit_band,
@@ -130,11 +131,8 @@ class StablePath:
             raise ValueError("jump arrays must have equal length")
 
     @classmethod
-    def from_points(cls, points: list[LimitPoint]) -> "StablePath":
-        j = np.array([p.j for p in points])
-        b = np.array([p.b for p in points])
-        l = np.array([p.l for p in points])
-        return cls(j=j, b=b, d=b + l)
+    def from_points(cls, points: LimitPointSample) -> "StablePath":
+        return cls(j=points.j, b=points.b, d=points.death)
 
     def breakpoints(self) -> np.ndarray:
         """Event times (births, deaths) in [0, 1] plus both endpoints."""
@@ -204,29 +202,16 @@ class StablePath:
             float(np.max(np.abs(self.right_limit(grid) - c))),
         )
 
-    def to_csv(self, path, times) -> None:
-        """Sampled values on an output grid, as (t, value) rows."""
-        times = np.asarray(times, dtype=float)
-        values = self(times)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in zip(times, np.atleast_1d(values)):
-                writer.writerow([repr(float(t)), repr(float(v))])
-
 
 @dataclass
 class StablePathSample:
     """A truncated-limit path together with its truncation level and the
     exact mean used for centering."""
 
-    points: list[LimitPoint]
+    points: LimitPointSample
     epsilon: float
     path: StablePath
     mean: float
-
-    def centered(self, t):
-        return self.path(t) - self.mean
 
 
 def sample_stable_path(
@@ -264,9 +249,6 @@ class RefinementReport:
     @property
     def medians(self) -> np.ndarray:
         return np.median(self.distances, axis=0)
-
-    def quantiles(self, qs=(0.25, 0.5, 0.75)) -> np.ndarray:
-        return np.quantile(self.distances, qs, axis=0)
 
     @property
     def medians_strictly_decreasing(self) -> bool:
@@ -328,20 +310,20 @@ def coupled_level_paths(
     require_stable(params)
     eps = [float(e) for e in eps_sequence]
     thresholds = [limit_jump_threshold(params, e) for e in eps]
-    points: list[LimitPoint] = list(
-        sample_limit_band(
-            params, thresholds[0], np.inf, cfg, stream=stream, tag=0
-        )
+    points = sample_limit_band(
+        params, thresholds[0], np.inf, cfg, stream=stream, tag=0
     )
     out = []
     for k, e in enumerate(eps):
         if k > 0:
-            points = points + sample_limit_band(
-                params, thresholds[k], thresholds[k - 1], cfg, stream=stream, tag=k
+            points = points.superpose(
+                sample_limit_band(
+                    params, thresholds[k], thresholds[k - 1], cfg, stream=stream, tag=k
+                )
             )
         out.append(
             StablePathSample(
-                points=list(points),
+                points=points,
                 epsilon=e,
                 path=StablePath.from_points(points),
                 mean=stable_mean(params, e),
@@ -383,24 +365,14 @@ def stable_band_marginals(
     done = 0
     while done < reps:
         m = min(chunk, reps - done)
-        # component alive at time 0: age and residual both exponential
-        counts = rng.poisson(rate, size=m)
-        total = int(counts.sum())
-        rep = np.repeat(np.arange(m), counts)
-        b = -rng.exponential(size=total)
-        d = rng.exponential(size=total)
-        jumps = draw_jumps(total)
-        contrib = jumps * (t - b) * ((b <= t) & (t <= d))
-        out[done : done + m] += np.bincount(rep, weights=contrib, minlength=m)
-        # component born in (0, 1]
-        counts = rng.poisson(rate, size=m)
-        total = int(counts.sum())
-        rep = np.repeat(np.arange(m), counts)
-        b = rng.uniform(0.0, 1.0, size=total)
-        d = b + rng.exponential(size=total)
-        jumps = draw_jumps(total)
-        contrib = jumps * (t - b) * ((b <= t) & (t <= d))
-        out[done : done + m] += np.bincount(rep, weights=contrib, minlength=m)
+        for component in (_alive_at_zero, _born_in_horizon):
+            counts, b, d = component(rng, rate, m)
+            if component is _born_in_horizon:
+                d += b  # lifetimes to death times
+            jumps = draw_jumps(len(b))
+            contrib = jumps * (t - b) * ((b <= t) & (t <= d))
+            rep = np.repeat(np.arange(m), counts)
+            out[done : done + m] += np.bincount(rep, weights=contrib, minlength=m)
         done += m
     return out
 

@@ -50,8 +50,8 @@ class ModelParams:
     n: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if not 0 < self.gamma < 1:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.gamma == 0.5:

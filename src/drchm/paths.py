@@ -61,11 +61,7 @@ class StepPath:
         return cls(np.array([0.0]), np.array([float(value)]))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in zip(self.times, self.values):
-                writer.writerow([repr(float(t)), repr(float(v))])
+        _write_csv(path, self.times, self.values)
 
     @classmethod
     def from_csv(cls, path) -> "StepPath":
@@ -73,6 +69,15 @@ class StepPath:
             rows = list(csv.reader(fh))
         data = np.array([[float(a), float(b)] for a, b in rows[1:]])
         return cls(data[:, 0], data[:, 1])
+
+
+def _write_csv(path, times, values) -> None:
+    """(t, value) rows under a header, floats in shortest round-trip form."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "value"])
+        for t, v in zip(times, values):
+            writer.writerow([repr(float(t)), repr(float(v))])
 
 
 def build_edges(

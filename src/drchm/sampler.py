@@ -5,7 +5,9 @@ Vertices relevant to the horizon [0, 1] split into two independent Poisson
 components: those alive at time 0 (stationary occupancy: Poisson(n) many,
 with independent Exp(1) age and residual lifetime) and those born in (0, 1]
 (Poisson(n) many, Exp(1) lifetime).  Vertices dead before 0 or born after 1
-cannot carry an edge on the horizon and are never generated.
+cannot carry an edge on the horizon and are never generated.  The jump points
+of the heavy-tailed limit follow the same birth-death law, and both draw each
+component with the same function (_alive_at_zero, _born_in_horizon).
 
 Interactions have unbounded connection radii as their weight w approaches 0,
 so a finite sample truncates at w >= w_min.  The truncation is organised in
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, TruncationError, Vertex, require_stable
+from .model import ModelParams, TruncationError, require_stable
 from .rng import stream_generator, substream_generator
 
 
@@ -76,12 +78,6 @@ class VertexSample:
     def death(self) -> np.ndarray:
         return self.b + self.l
 
-    def vertices(self) -> list[Vertex]:
-        return [
-            Vertex(float(xi), float(ui), float(bi), float(li))
-            for xi, ui, bi, li in zip(self.x, self.u, self.b, self.l)
-        ]
-
 
 @dataclass
 class InteractionSample:
@@ -98,13 +94,29 @@ class InteractionSample:
         return len(self.z)
 
 
-@dataclass(frozen=True)
-class LimitPoint:
-    """A jump of the limiting process: size, birth time, lifetime."""
+@dataclass
+class LimitPointSample:
+    """Jumps of the limiting process as parallel arrays: size, birth time,
+    lifetime."""
 
-    j: float
-    b: float
-    l: float
+    j: np.ndarray
+    b: np.ndarray
+    l: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.j)
+
+    @property
+    def death(self) -> np.ndarray:
+        return self.b + self.l
+
+    def superpose(self, other: "LimitPointSample") -> "LimitPointSample":
+        """The union of two independent point sets, self's points first."""
+        return LimitPointSample(
+            j=np.concatenate([self.j, other.j]),
+            b=np.concatenate([self.b, other.b]),
+            l=np.concatenate([self.l, other.l]),
+        )
 
 
 def sample_vertices(
@@ -112,30 +124,39 @@ def sample_vertices(
 ) -> VertexSample:
     """Sample every vertex in [0, n] whose alive interval meets [0, 1]."""
     rng = stream_generator(cfg.master_seed, stream)
-    return _sample_vertices_with(params.n, rng)
-
-
-def _sample_vertices_with(n: float, rng: np.random.Generator) -> VertexSample:
-    n_alive = rng.poisson(n)
-    age = rng.exponential(size=n_alive)
-    residual = rng.exponential(size=n_alive)
-    b_alive = -age
-    l_alive = age + residual
-
-    n_born = rng.poisson(n)
-    b_born = rng.uniform(0.0, 1.0, size=n_born)
-    l_born = rng.exponential(size=n_born)
-
-    m = n_alive + n_born
-    x = rng.uniform(0.0, n, size=m)
+    _, b_alive, d_alive = _alive_at_zero(rng, params.n)
+    _, b_born, l_born = _born_in_horizon(rng, params.n)
+    m = len(b_alive) + len(b_born)
+    x = rng.uniform(0.0, params.n, size=m)
     # Uniform(0, 1]: reflect the half-open interval; exact zeros are excluded.
     u = 1.0 - rng.random(size=m)
     return VertexSample(
         x=x,
         u=u,
         b=np.concatenate([b_alive, b_born]),
-        l=np.concatenate([l_alive, l_born]),
+        l=np.concatenate([d_alive - b_alive, l_born]),
     )
+
+
+def _alive_at_zero(rng: np.random.Generator, rate: float, size=None):
+    """Poisson(rate) points alive at time 0 (a count per replicate when size
+    is given) with independent Exp(1) age and residual lifetime.  Returns the
+    counts, the births -age and the deaths, i.e. the residual lifetimes."""
+    counts = rng.poisson(rate, size=size)
+    total = int(np.sum(counts))
+    age = rng.exponential(size=total)
+    residual = rng.exponential(size=total)
+    return counts, -age, residual
+
+
+def _born_in_horizon(rng: np.random.Generator, rate: float, size=None):
+    """Poisson(rate) points born in (0, 1] (a count per replicate when size is
+    given) with Exp(1) lifetimes.  Returns the counts, births and lifetimes."""
+    counts = rng.poisson(rate, size=size)
+    total = int(np.sum(counts))
+    birth = rng.uniform(0.0, 1.0, size=total)
+    lifetime = rng.exponential(size=total)
+    return counts, birth, lifetime
 
 
 def weight_bands(cfg: SamplerConfig) -> list[tuple[float, float]]:
@@ -228,22 +249,20 @@ def sample_limit_points(
     epsilon: float,
     cfg: SamplerConfig,
     stream: int = 0,
-    j_max: float = np.inf,
-) -> list[LimitPoint]:
+) -> LimitPointSample:
     """Sample the limiting jump process above truncation level epsilon.
 
     Points carry a jump size J with tail measure nu([a, inf)) =
     c_tilde**(1/gamma) * a**(-1/gamma), restricted to J >= c_tilde *
-    epsilon**gamma (and J < j_max when given, used for band coupling), with
-    birth-death marks exactly as for vertices.  Only points alive somewhere on
-    [0, 1] are produced.
+    epsilon**gamma, with birth-death marks exactly as for vertices.  Only
+    points alive somewhere on [0, 1] are produced.
     """
     require_stable(params)
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     rng = stream_generator(cfg.master_seed, stream)
     j_lo = limit_jump_threshold(params, epsilon)
-    return _sample_band_points(params, j_lo, j_max, rng)
+    return _sample_band_points(params, j_lo, np.inf, rng)
 
 
 def sample_limit_band(
@@ -253,7 +272,7 @@ def sample_limit_band(
     cfg: SamplerConfig,
     stream: int = 0,
     tag: int = 0,
-) -> list[LimitPoint]:
+) -> LimitPointSample:
     """Sample the limiting jump points with size in [j_lo, j_hi).
 
     Bands with distinct tags drawn from the same (seed, stream) are
@@ -276,18 +295,17 @@ def _sample_band_points(
     j_lo: float,
     j_hi: float,
     rng: np.random.Generator,
-) -> list[LimitPoint]:
+) -> LimitPointSample:
     """Points with jump size in [j_lo, j_hi) alive somewhere on [0, 1]."""
     rate = _nu_tail(params, j_lo)
     if np.isfinite(j_hi):
         rate -= _nu_tail(params, j_hi)
     # Alive-at-0 and born-in-(0,1] components, each with J-rate per unit time.
-    n_alive = rng.poisson(rate)
-    age = rng.exponential(size=n_alive)
-    residual = rng.exponential(size=n_alive)
-    b = np.concatenate([-age, rng.uniform(0.0, 1.0, size=rng.poisson(rate))])
+    _, b_alive, d_alive = _alive_at_zero(rng, rate)
+    _, b_born, l_born = _born_in_horizon(rng, rate)
+    b = np.concatenate([b_alive, b_born])
+    l = np.concatenate([d_alive - b_alive, l_born])
     m = len(b)
-    l = np.concatenate([age + residual, rng.exponential(size=m - n_alive)])
     # Inverse transform on the restricted tail: nu is Pareto(1/gamma) above j_lo.
     v = 1.0 - rng.random(size=m)
     if np.isfinite(j_hi):
@@ -297,9 +315,7 @@ def _sample_band_points(
         j = params.c_tilde * tail ** (-params.gamma)
     else:
         j = j_lo * v ** (-params.gamma)
-    return [
-        LimitPoint(float(ji), float(bi), float(li)) for ji, bi, li in zip(j, b, l)
-    ]
+    return LimitPointSample(j=j, b=b, l=l)
 
 
 def sample_vertices_burn_in(

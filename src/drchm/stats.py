@@ -22,6 +22,39 @@ def _jackknife_se(values: np.ndarray) -> float:
     return float(np.sqrt((n - 1) / n * np.sum((values - center) ** 2)))
 
 
+def mean_variance(samples) -> dict:
+    """Count, mean and unbiased variance with their standard errors.
+
+    The mean SE is sqrt(variance / count), the variance SE the delete-one
+    jackknife.  Below two samples the variance is NaN and both SEs are
+    infinite; with two samples the variance SE is infinite.
+    """
+    x = np.asarray(samples, dtype=float)
+    n = len(x)
+    if n < 2:
+        return {
+            "count": n,
+            "mean": float(x.mean()) if n else float("nan"),
+            "mean_se": float("inf"),
+            "variance": float("nan"),
+            "variance_se": float("inf"),
+        }
+    var = float(x.var(ddof=1))
+    var_se = float("inf")
+    if n > 2:
+        # delete-one variances in closed form
+        dx = x - x.mean()
+        var_i = (float(np.sum(dx**2)) - dx**2 * n / (n - 1)) / (n - 2)
+        var_se = _jackknife_se(var_i)
+    return {
+        "count": n,
+        "mean": float(x.mean()),
+        "mean_se": float(np.sqrt(var / n)),
+        "variance": var,
+        "variance_se": var_se,
+    }
+
+
 @dataclass
 class MomentSummary:
     """First four standardized moments of a replicate ensemble with
@@ -43,12 +76,11 @@ class MomentSummary:
         n = len(x)
         if n < 2:
             raise ValueError(f"need at least 2 samples, got {n}")
-        mean = float(x.mean())
-        dx = x - mean
+        mv = mean_variance(x)
+        dx = x - mv["mean"]
         m2 = float(np.mean(dx**2))
         m3 = float(np.mean(dx**3))
         m4 = float(np.mean(dx**4))
-        variance = m2 * n / (n - 1)
         if m2 > 0:
             skewness = m3 / m2**1.5
             kurtosis = m4 / m2**2 - 3.0
@@ -69,18 +101,16 @@ class MomentSummary:
             - 3.0 * mu**4
         )
         with np.errstate(divide="ignore", invalid="ignore"):
-            var_i = c2 * m / (m - 1)
             skew_i = c3 / c2**1.5
             kurt_i = c4 / c2**2 - 3.0
-        mean_se = float(np.sqrt(variance / n))
         return cls(
             count=n,
-            mean=mean,
-            variance=variance,
+            mean=mv["mean"],
+            variance=mv["variance"],
             skewness=skewness,
             excess_kurtosis=kurtosis,
-            mean_se=mean_se,
-            variance_se=_jackknife_se(var_i),
+            mean_se=mv["mean_se"],
+            variance_se=mv["variance_se"],
             skewness_se=_jackknife_se(skew_i) if m2 > 0 else float("nan"),
             excess_kurtosis_se=_jackknife_se(kurt_i) if m2 > 0 else float("nan"),
         )

@@ -182,7 +182,7 @@ def test_criterion_5_heavy_tail_index(stable_ensemble):
     jumps = []
     stream = 0
     while len(jumps) < 100_000:
-        jumps.extend(p.j for p in sample_limit_points(S, 0.01, cfg, stream))
+        jumps.extend(sample_limit_points(S, 0.01, cfg, stream).j)
         stream += 1
     alpha_j, se_j = hill_tail_index(np.array(jumps[:100_000]))
     target = 1.0 / S.gamma

@@ -162,12 +162,29 @@ class TestSimulate:
 
 
 class TestEnsemble:
-    def test_worker_count_irrelevant(self):
+    def test_worker_count_irrelevant(self, tmp_path):
         p = ModelParams(0.25, 0.2, 0.2, 30.0)
         scfg = SamplerConfig(master_seed=5)
         serial = edge_count_ensemble(p, scfg, (0.5,), 20, workers=1)
         parallel = edge_count_ensemble(p, scfg, (0.5,), 20, workers=4)
         np.testing.assert_array_equal(serial["counts"], parallel["counts"])
+        # The runners share the ensemble's replicate map: their report and
+        # CSV files are byte-identical at any worker count.
+        stable = {"beta": 0.25, "gamma": 0.7, "gamma_prime": 0.2, "n": 50.0}
+        for name, data in (
+            ("simulate", _base_config(replicates=6, write_paths=True)),
+            ("marks", _base_config(kind="validate-marks", replicates=6)),
+            ("limit-g", _base_config(kind="sample-limit", replicates=6, grid_points=11)),
+            ("limit-s", _base_config(kind="sample-limit", replicates=6, model=stable, epsilon=0.1)),
+        ):
+            outs = []
+            for workers in (1, 4):
+                out = tmp_path / f"{name}-{workers}"
+                run_experiment(
+                    ExperimentConfig.from_dict({**data, "out_dir": str(out), "workers": workers})
+                )
+                outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            assert outs[0] and outs[0] == outs[1]
 
     @pytest.mark.parametrize(
         "params, thr",
@@ -234,6 +251,20 @@ class TestRunners:
         summary = res["records"][-1]
         assert summary["max_pm_identity_err"] == 0.0
         assert summary["max_split_identity_err"] == 0.0
+
+    def test_validate_marks_single_replicate(self, tmp_path):
+        for replicates in (1, 3):
+            out = tmp_path / str(replicates)
+            cfg = _base_config(kind="validate-marks", replicates=replicates, out_dir=str(out))
+            fname = tmp_path / f"marks-{replicates}.json"
+            fname.write_text(json.dumps(cfg))
+            assert main(["validate-marks", "--config", str(fname)]) == 0
+            lines = [json.loads(l) for l in open(out / "validate_marks.jsonl")]
+            reps, summary = lines[:-1], lines[-1]
+            assert len(reps) == replicates
+            pm = max(r["pm_identity_max_abs_err"] for r in reps)
+            split = max(r["split_identity_max_abs_err"] for r in reps)
+            assert (summary["max_pm_identity_err"], summary["max_split_identity_err"]) == (pm, split)
 
     def test_sample_limit_gaussian(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
@@ -348,6 +379,20 @@ class TestCLI:
     def test_zero_window_exit_two(self, tmp_path, capsys):
         data = _base_config(replicates=2)
         data["model"]["n"] = 0
+        self._exit_two_one_line(tmp_path, capsys, "simulate", data)
+
+    @pytest.mark.parametrize("n", [1e300, 1e10])
+    def test_huge_window_exit_two(self, tmp_path, capsys, n):
+        data = _base_config(replicates=1)
+        data["model"]["n"] = n
+        self._exit_two_one_line(tmp_path, capsys, "simulate", data)
+        data = _base_config(kind="validate-gaussian", replicates=3, n_ladder=[100, n])
+        self._exit_two_one_line(tmp_path, capsys, "validate-gaussian", data)
+
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan")])
+    def test_non_finite_beta_exit_two(self, tmp_path, capsys, beta):
+        data = _base_config(replicates=1)
+        data["model"]["beta"] = beta
         self._exit_two_one_line(tmp_path, capsys, "simulate", data)
 
     def test_missing_config_file(self, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from drchm.experiments import _write_grid_csv
 from drchm.limits import (
     GaussianGrid,
     StablePath,
@@ -104,7 +105,7 @@ class TestStablePath:
         sample = sample_stable_path(params_s, 0.2, cfg, 0)
         fname = tmp_path / "limit.csv"
         grid = np.linspace(0, 1, 11)
-        sample.path.to_csv(fname, grid)
+        _write_grid_csv(fname, grid, sample.path(grid))
         data = np.loadtxt(fname, delimiter=",", skiprows=1)
         np.testing.assert_allclose(data[:, 0], grid)
         np.testing.assert_allclose(data[:, 1], sample.path(grid))
@@ -167,8 +168,8 @@ class TestRefinement:
         cfg = SamplerConfig(master_seed=12)
         levels = coupled_level_paths(params_s, (0.1, 0.05, 0.025), cfg, stream=3)
         for coarse, fine in zip(levels[:-1], levels[1:]):
-            coarse_pts = {(p.j, p.b, p.l) for p in coarse.points}
-            fine_pts = {(p.j, p.b, p.l) for p in fine.points}
+            coarse_pts = set(zip(coarse.points.j, coarse.points.b, coarse.points.l))
+            fine_pts = set(zip(fine.points.j, fine.points.b, fine.points.l))
             assert coarse_pts <= fine_pts
             thr = limit_jump_threshold(params_s, fine.epsilon)
-            assert all(p.j >= thr for p in fine.points)
+            assert np.all(fine.points.j >= thr)

@@ -36,6 +36,7 @@ class TestModelParams:
             dict(beta=0.25, gamma=0.2, gamma_prime=0.0, n=1.0),
             dict(beta=0.25, gamma=0.2, gamma_prime=1.5, n=1.0),
             dict(beta=0.25, gamma=0.2, gamma_prime=0.2, n=-1.0),
+            dict(beta=float("inf"), gamma=0.2, gamma_prime=0.2, n=1.0),
         ],
     )
     def test_invalid_construction(self, kwargs):

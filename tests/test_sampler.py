@@ -219,7 +219,7 @@ class TestLimitPoints:
         p = ModelParams(0.25, 0.7, 0.2, 1.0)
         assert limit_jump_threshold(p, 1.0) == pytest.approx(0.625)
         points = sample_limit_points(p, 1.0, scfg, 0)
-        assert all(pt.j >= 0.625 for pt in points)
+        assert np.all(points.j >= 0.625)
 
     def test_count_concentration(self, params_s, scfg):
         # total count ~ Poisson(2 / eps) over the two temporal components
@@ -238,7 +238,7 @@ class TestLimitPoints:
         jumps = []
         s = 0
         while len(jumps) < 30_000:
-            jumps.extend(p.j for p in sample_limit_points(params_s, 0.05, scfg, s))
+            jumps.extend(sample_limit_points(params_s, 0.05, scfg, s).j)
             s += 1
         alpha, se = hill_tail_index(np.array(jumps), k=1000)
         assert abs(alpha - 1.0 / params_s.gamma) <= 4 * se
@@ -258,8 +258,8 @@ class TestLimitPoints:
         for s in range(800):
             low = sample_limit_band(params_s, thr_lo, thr_mid, scfg, s, tag=1)
             high = sample_limit_band(params_s, thr_mid, np.inf, scfg, s, tag=2)
-            assert all(thr_lo <= p.j < thr_mid for p in low)
-            assert all(p.j >= thr_mid for p in high)
+            assert np.all((thr_lo <= low.j) & (low.j < thr_mid))
+            assert np.all(high.j >= thr_mid)
             counts.append(len(low) + len(high))
         counts = np.array(counts, dtype=float)
         se = counts.std(ddof=1) / np.sqrt(len(counts))
