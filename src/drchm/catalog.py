@@ -69,7 +69,7 @@ class CatalogRecord:
         return self.bound_violations == 0
 
     def to_json(self) -> str:
-        return json.dumps(
+        return strict_json(
             {
                 "lemma_id": self.lemma_id,
                 "kind": self.kind,
@@ -85,6 +85,22 @@ def write_catalog_jsonl(records, path) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
+
+
+def strict_json(record) -> str:
+    """json.dumps with every non-finite float written as null, so the text
+    is strict JSON (no NaN or Infinity tokens)."""
+    return json.dumps(_finite_or_null(record), allow_nan=False)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ unknown keys rejected) and produces JSONL reports plus optional CSV path
 files.  Replicates map to RNG streams by index, so results are independent
 of execution order and of the worker count; aggregation always runs over
 the replicate-ordered arrays.  Floats are serialized with their shortest
-round-trip representation (up to 17 significant digits), and no timestamps
-are emitted, so reruns of the same configuration are byte-identical.
+round-trip representation (non-finite ones as null), and no timestamps are
+emitted, so reruns of the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import lemma_catalog_check, write_catalog_jsonl
+from .catalog import lemma_catalog_check, strict_json, write_catalog_jsonl
 from .limits import (
+    MAX_GRID_POINTS,
     GaussianGrid,
     epsilon_refinement_study,
     sample_gaussian_path,
@@ -81,6 +82,10 @@ _STREAM_BLOCK = 1_000_000
 # already needs tens of gigabytes, and numpy's Poisson sampler stops near 9e18.
 MAX_WINDOW = 1e9
 
+# Integer fields and their least values.  82 is the fewest jump samples for
+# which hill_tail_index's default k = ceil(sqrt(count)) has 10 <= k < count / 2.
+_INT_FIELDS = (("replicates", 1), ("jump_samples", 82), ("workers", 1), ("grid_points", 2))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -115,8 +120,6 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r}; "
                 f"expected one of {EXPERIMENT_KINDS}"
             )
-        if not (_is_int(self.replicates) and self.replicates >= 1):
-            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         _check_window(self.model.n, "model.n")
         times = tuple(float(t) for t in self.eval_times)
         if any(not 0.0 <= t <= 1.0 for t in times):
@@ -129,20 +132,41 @@ class ExperimentConfig:
         object.__setattr__(self, "n_ladder", tuple(self.n_ladder))
         for n in self.n_ladder:
             _check_window(n, "n_ladder entry")
-        object.__setattr__(self, "eps_sequence", tuple(float(e) for e in self.eps_sequence))
+        eps = tuple(float(e) for e in self.eps_sequence)
+        object.__setattr__(self, "eps_sequence", eps)
+        for name in ("epsilon", "ks_epsilon"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)!r}")
+        if len(eps) < 2 or not all(0.0 < e <= 1.0 for e in eps) or not _decreasing(eps):
+            raise ValueError(f"eps_sequence must be 2+ decreasing values in (0, 1], got {eps}")
         if self.u_threshold is not None and not 0.0 < self.u_threshold < 1.0:
             raise ValueError(f"u_threshold must be in (0, 1), got {self.u_threshold}")
-        if not (_is_int(self.workers) and self.workers >= 1):
-            raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not (_is_int(self.grid_points) and self.grid_points >= 2):
-            raise ValueError(f"grid_points must be an integer >= 2, got {self.grid_points!r}")
+        for name, least in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.model.regime == "gaussian" and self.grid_points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points must be <= {MAX_GRID_POINTS} (Gaussian), got {self.grid_points}"
+            )
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ValueError(f"out_dir must be a non-empty path, got {self.out_dir!r}")
+
+    def mark_threshold_at(self, n) -> float:
+        """Mark-split threshold at window length n: u_threshold or n^(-2/3)."""
+        if self.u_threshold is not None:
+            return self.u_threshold
+        return float(n) ** (-2.0 / 3.0)
 
     @property
     def mark_threshold(self) -> float:
-        """Mark-split threshold: configured value or the default n^(-2/3)."""
-        if self.u_threshold is not None:
-            return self.u_threshold
-        return float(self.model.n) ** (-2.0 / 3.0)
+        """Mark-split threshold at the model's window length."""
+        return self.mark_threshold_at(self.model.n)
+
+    @property
+    def t_mid(self) -> float:
+        """The middle entry of eval_times, where the single-time checks run."""
+        return self.eval_times[len(self.eval_times) // 2]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -159,8 +183,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        lists = {k: tuple(v) for k, v in data.items() if isinstance(v, list)}
-        return cls(model=model, sampler=sampler, **{**data, **lists})
+        return cls(model=model, sampler=sampler, **data)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -169,9 +192,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["eval_times"] = list(self.eval_times)
-        out["n_ladder"] = list(self.n_ladder)
-        out["eps_sequence"] = list(self.eps_sequence)
+        for key in ("eval_times", "n_ladder", "eps_sequence"):
+            out[key] = list(out[key])
         return out
 
 
@@ -208,6 +230,13 @@ def normalization(params: ModelParams) -> tuple[float, float]:
     return center, float(params.n) ** params.gamma
 
 
+def _sample_edges(params: ModelParams, scfg: SamplerConfig, stream: int):
+    """One replicate's vertices, interactions and edges, from one stream."""
+    vs = sample_vertices(params, scfg, stream)
+    interactions = sample_interactions(params, scfg, vs, stream)
+    return vs, interactions, build_edges(params, vs, interactions)
+
+
 def _simulate_one(
     params: ModelParams,
     scfg: SamplerConfig,
@@ -220,9 +249,7 @@ def _simulate_one(
     When u_threshold is given, low/high mark marginals and the sup over the
     horizon of the centered high-mark path are recorded as well.
     """
-    vs = sample_vertices(params, scfg, stream)
-    interactions = sample_interactions(params, scfg, vs, stream)
-    edges = build_edges(params, vs, interactions)
+    vs, interactions, edges = _sample_edges(params, scfg, stream)
     times = np.asarray(eval_times, dtype=float)
     out = {
         "counts": np.atleast_1d(edge_count_at(edges, times)),
@@ -256,16 +283,7 @@ def edge_count_ensemble(
         range(stream_offset, stream_offset + replicates),
         workers,
     )
-    out = {
-        "counts": np.stack([r["counts"] for r in results]),
-        "missed_edge_bound": np.array([r["missed_edge_bound"] for r in results]),
-        "edges": np.array([r["edges"] for r in results]),
-    }
-    if u_threshold is not None:
-        out["low_counts"] = np.stack([r["low_counts"] for r in results])
-        out["high_counts"] = np.stack([r["high_counts"] for r in results])
-        out["high_sup"] = np.array([r["high_sup"] for r in results])
-    return out
+    return {key: np.stack([r[key] for r in results]) for key in results[0]}
 
 
 def _replicate_map(task, streams, workers: int) -> list:
@@ -278,10 +296,44 @@ def _replicate_map(task, streams, workers: int) -> list:
     return [task(s) for s in streams]
 
 
+def _window_ladder(cfg: ExperimentConfig, ladder, eval_times):
+    """Yields (n, params at n, mark threshold at n, mark-split ensemble)
+    per window length; window k draws from stream block k + 1."""
+    for k, n in enumerate(ladder):
+        params_n = dataclasses.replace(cfg.model, n=float(n))
+        threshold = cfg.mark_threshold_at(n)
+        ensemble = edge_count_ensemble(
+            params_n, cfg.sampler, eval_times, cfg.replicates,
+            u_threshold=threshold, workers=cfg.workers,
+            stream_offset=(k + 1) * _STREAM_BLOCK,
+        )
+        yield float(n), params_n, threshold, ensemble
+
+
 def write_jsonl(path, records) -> None:
+    """One strict-JSON line per record; non-finite floats become null."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(strict_json(rec) + "\n")
+
+
+def _outputs(cfg: ExperimentConfig, *names) -> list[str]:
+    """Paths of the named output files in cfg.out_dir, which is created."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    return [os.path.join(cfg.out_dir, name) for name in names]
+
+
+def _within_4se(estimate, target, se) -> bool:
+    return bool(abs(estimate - target) <= 4.0 * se)
+
+
+def _matches(value, oracle) -> bool:
+    """Agreement with a quadrature oracle: relative 1e-6, absolute below 1."""
+    return bool(abs(value - oracle) <= 1e-6 * max(abs(oracle), 1.0))
+
+
+def _decreasing(values) -> bool:
+    return all(b < a for a, b in zip(values[:-1], values[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +342,14 @@ def write_jsonl(path, records) -> None:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Per-replicate marginals (and optional path CSVs) plus a summary."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    report, *path_files = _outputs(
+        cfg, "simulate_summary.jsonl",
+        *(f"replicate_{rep:06d}.csv" for rep in range(cfg.replicates)),
+    )
     center, scale = normalization(cfg.model)
-    path_files = [
-        os.path.join(cfg.out_dir, f"replicate_{rep:06d}.csv") for rep in range(cfg.replicates)
-    ]
 
     def replicate(rep: int) -> dict:
-        vs = sample_vertices(cfg.model, cfg.sampler, rep)
-        interactions = sample_interactions(cfg.model, cfg.sampler, vs, rep)
-        edges = build_edges(cfg.model, vs, interactions)
+        _, interactions, edges = _sample_edges(cfg.model, cfg.sampler, rep)
         path = edge_count_path(edges)
         if cfg.write_paths:
             path.to_csv(path_files[rep])
@@ -329,7 +379,6 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
             np.max([r["missed_edge_bound"] for r in records])
         ),
     }
-    report = os.path.join(cfg.out_dir, "simulate_summary.jsonl")
     write_jsonl(report, records + [summary])
     return {"report": report, "paths": path_files if cfg.write_paths else [], "summary": summary}
 
@@ -345,7 +394,7 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
             "holds but finite-n bias is larger; interpret 4-SE bands with care",
             stacklevel=2,
         )
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    [report] = _outputs(cfg, "validate_gaussian.jsonl")
     center, scale = normalization(p)
     ensemble = edge_count_ensemble(
         p, cfg.sampler, cfg.eval_times, cfg.replicates,
@@ -365,23 +414,18 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
                 "oracle_variance": oracle,
                 "printed_variance_limit": printed_variance_limit(p),
                 "printed_covariance_lag0": printed_covariance(p, 0.0),
-                "within_4se": bool(
-                    abs(mom["variance"] - oracle) <= 4.0 * mom["variance_se"]
-                ),
+                "within_4se": _within_4se(mom["variance"], oracle, mom["variance_se"]),
             }
         )
 
-    for i in range(len(cfg.eval_times)):
-        for j in range(i, len(cfg.eval_times)):
-            t1, t2 = float(cfg.eval_times[i]), float(cfg.eval_times[j])
+    for i, t1 in enumerate(cfg.eval_times):
+        for j, t2 in enumerate(cfg.eval_times[i:], start=i):
             if cfg.replicates >= 3:
                 cov, se = cross_covariance(normed[:, i], normed[:, j])
             else:
                 cov, se = float("nan"), float("inf")
             orc = oracle_covariance(p, t1, t2)
-            adjudicated = float(
-                adjudicated_constants(p).covariance(t2 - t1)
-            )
+            adjudicated = float(adjudicated_constants(p).covariance(t2 - t1))
             records.append(
                 {
                     "section": "covariance",
@@ -393,11 +437,8 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
                     "oracle_covariance": orc.oracle,
                     "printed_covariance": orc.printed,
                     "adjudicated_covariance": adjudicated,
-                    "within_4se": bool(abs(cov - orc.oracle) <= 4.0 * se),
-                    "oracle_matches_printed": bool(
-                        abs(orc.oracle - orc.printed)
-                        <= 1e-6 * max(abs(orc.oracle), 1.0)
-                    ),
+                    "within_4se": _within_4se(cov, orc.oracle, se),
+                    "oracle_matches_printed": _matches(orc.printed, orc.oracle),
                 }
             )
 
@@ -420,24 +461,15 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
         )
 
     ladder = cfg.n_ladder or (100, 400)
-    t_mid = float(cfg.eval_times[len(cfg.eval_times) // 2])
     low_vars = []
-    for k, n in enumerate(ladder):
-        pn = dataclasses.replace(p, n=float(n))
-        thr = cfg.u_threshold if cfg.u_threshold is not None else float(n) ** (-2.0 / 3.0)
-        ens = edge_count_ensemble(
-            pn, cfg.sampler, (t_mid,), cfg.replicates,
-            u_threshold=thr, workers=cfg.workers,
-            stream_offset=(k + 1) * _STREAM_BLOCK,
-        )
-        low_normed = ens["low_counts"][:, 0] / math.sqrt(float(n))
-        mom = mean_variance(low_normed)
+    for n, _, thr, ens in _window_ladder(cfg, ladder, (cfg.t_mid,)):
+        mom = mean_variance(ens["low_counts"][:, 0] / math.sqrt(n))
         low_vars.append(mom["variance"])
         records.append(
             {
                 "section": "low_mark",
-                "n": float(n),
-                "t": t_mid,
+                "n": n,
+                "t": cfg.t_mid,
                 "u_threshold": thr,
                 "variance": mom["variance"],
                 "variance_se": mom["variance_se"],
@@ -448,13 +480,10 @@ def run_validate_gaussian(cfg: ExperimentConfig) -> dict:
             "section": "low_mark_trend",
             "n_ladder": [float(n) for n in ladder],
             "variances": low_vars,
-            "decreasing": bool(
-                all(b < a for a, b in zip(low_vars[:-1], low_vars[1:]))
-            ),
+            "decreasing": _decreasing(low_vars),
         }
     )
 
-    report = os.path.join(cfg.out_dir, "validate_gaussian.jsonl")
     write_jsonl(report, records)
     return {"report": report, "records": records}
 
@@ -482,80 +511,61 @@ def run_validate_stable(cfg: ExperimentConfig) -> dict:
             "stable-limit convergence; interpret acceptance bands with care",
             stacklevel=2,
         )
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    records = []
-
+    [report] = _outputs(cfg, "validate_stable.jsonl")
     jumps = _collect_jumps(cfg)
     alpha, alpha_se = hill_tail_index(jumps)
-    records.append(
+    records = [
         {
             "section": "hill_jumps",
             "samples": len(jumps),
             "alpha": alpha,
             "alpha_se": alpha_se,
             "target": 1.0 / p.gamma,
-            "within_4se": bool(abs(alpha - 1.0 / p.gamma) <= 4.0 * alpha_se),
+            "within_4se": _within_4se(alpha, 1.0 / p.gamma, alpha_se),
         }
-    )
+    ]
 
     ladder = cfg.n_ladder or (200, 2000)
-    t_mid = float(cfg.eval_times[len(cfg.eval_times) // 2])
     limit_raw = stable_marginals(
-        p, cfg.ks_epsilon, t_mid, cfg.replicates, cfg.sampler,
+        p, cfg.ks_epsilon, cfg.t_mid, cfg.replicates, cfg.sampler,
         stream=11 * _STREAM_BLOCK,
     )
     limit_centered = limit_raw - stable_mean(p, cfg.ks_epsilon)
     ks_values = []
     sup_medians = []
-    sn_one_terminal = None
-    for k, n in enumerate(ladder):
-        pn = dataclasses.replace(p, n=float(n))
-        thr = cfg.u_threshold if cfg.u_threshold is not None else float(n) ** (-2.0 / 3.0)
-        ens = edge_count_ensemble(
-            pn, cfg.sampler, (t_mid, 1.0), cfg.replicates,
-            u_threshold=thr, workers=cfg.workers,
-            stream_offset=(k + 1) * _STREAM_BLOCK,
-        )
+    for n, pn, thr, ens in _window_ladder(cfg, ladder, (cfg.t_mid, 1.0)):
         center, scale = normalization(pn)
-        normed = (ens["counts"][:, 0] - center) / scale
-        ks = ks_distance(normed, limit_centered)
+        ks = ks_distance((ens["counts"][:, 0] - center) / scale, limit_centered)
         ks_values.append(ks)
-        sup_scaled = ens["high_sup"] / scale
-        sup_median = float(np.median(sup_scaled))
+        sup_median = float(np.median(ens["high_sup"] / scale))
         sup_medians.append(sup_median)
         records.append(
             {
                 "section": "ks_ladder",
-                "n": float(n),
-                "t": t_mid,
+                "n": n,
+                "t": cfg.t_mid,
                 "ks_epsilon": cfg.ks_epsilon,
                 "ks_distance": ks,
                 "high_mark_sup_median": sup_median,
                 "u_threshold": thr,
             }
         )
-        if n == ladder[-1]:
-            sn_one_terminal = ens["counts"][:, 1]
     records.append(
         {
             "section": "ks_trend",
             "n_ladder": [float(n) for n in ladder],
             "ks_values": ks_values,
-            "ks_decreasing": bool(
-                all(b < a for a, b in zip(ks_values[:-1], ks_values[1:]))
-            ),
+            "ks_decreasing": _decreasing(ks_values),
             "high_mark_sup_medians": sup_medians,
-            "sup_decreasing": bool(
-                all(b < a for a, b in zip(sup_medians[:-1], sup_medians[1:]))
-            ),
+            "sup_decreasing": _decreasing(sup_medians),
         }
     )
 
-    # Hill is not shift-invariant, so the terminal edge counts are centered
-    # first and only the positive exceedances enter the estimator; k is
-    # capped at 200 (deeper order statistics pick up pre-limit curvature).
-    pn = dataclasses.replace(p, n=float(ladder[-1]))
-    exceedances = sn_one_terminal - mean_edge_count(pn)
+    # Hill is not shift-invariant, so the last window's (pn, ens) terminal
+    # edge counts are centered first and only the positive exceedances enter
+    # the estimator; k is capped at 200 (deeper order statistics pick up
+    # pre-limit curvature).
+    exceedances = ens["counts"][:, 1] - mean_edge_count(pn)
     exceedances = exceedances[exceedances > 0]
     k = min(200, len(exceedances) // 4)
     if k >= 10:
@@ -565,7 +575,7 @@ def run_validate_stable(cfg: ExperimentConfig) -> dict:
     records.append(
         {
             "section": "hill_edge_count",
-            "n": float(ladder[-1]),
+            "n": pn.n,
             "replicates": cfg.replicates,
             "exceedances": int(len(exceedances)),
             "k": int(k),
@@ -588,7 +598,6 @@ def run_validate_stable(cfg: ExperimentConfig) -> dict:
         }
     )
 
-    report = os.path.join(cfg.out_dir, "validate_stable.jsonl")
     write_jsonl(report, records)
     return {"report": report, "records": records}
 
@@ -600,15 +609,12 @@ def run_validate_marks(cfg: ExperimentConfig) -> dict:
     low/high mark split reconstruct the edge count exactly, and compares the
     split means against the closed-form mark-restricted mean.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    [report] = _outputs(cfg, "validate_marks.jsonl")
     p = cfg.model
     thr = cfg.mark_threshold
-    t_mid = float(cfg.eval_times[len(cfg.eval_times) // 2])
 
     def replicate(rep: int) -> tuple[dict, float, float]:
-        vs = sample_vertices(p, cfg.sampler, rep)
-        interactions = sample_interactions(p, cfg.sampler, vs, rep)
-        edges = build_edges(p, vs, interactions)
+        vs, _, edges = _sample_edges(p, cfg.sampler, rep)
         path = edge_count_path(edges)
         plus, minus = pm_edge_count_paths(edges)
         low, high = mark_split_paths(edges, vs, thr)
@@ -631,7 +637,7 @@ def run_validate_marks(cfg: ExperimentConfig) -> dict:
                 and np.all(np.diff(minus.values) >= 0)
             ),
         }
-        return record, float(low(t_mid)), float(high(t_mid))
+        return record, float(low(cfg.t_mid)), float(high(cfg.t_mid))
 
     results = _replicate_map(replicate, range(cfg.replicates), cfg.workers)
     records = [r for r, _, _ in results]
@@ -650,16 +656,14 @@ def run_validate_marks(cfg: ExperimentConfig) -> dict:
         "max_split_identity_err": max(r["split_identity_max_abs_err"] for r in records),
     }
     records.append(summary)
-    report = os.path.join(cfg.out_dir, "validate_marks.jsonl")
     write_jsonl(report, records)
     return {"report": report, "records": records}
 
 
 def run_oracle_report(cfg: ExperimentConfig) -> dict:
     """Lemma-catalog verification plus the covariance-constant adjudication."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    report, catalog_path = _outputs(cfg, "oracle_report.jsonl", "lemma_catalog.jsonl")
     catalog = lemma_catalog_check(master_seed=cfg.sampler.master_seed)
-    catalog_path = os.path.join(cfg.out_dir, "lemma_catalog.jsonl")
     write_catalog_jsonl(catalog, catalog_path)
 
     records = []
@@ -680,10 +684,7 @@ def run_oracle_report(cfg: ExperimentConfig) -> dict:
                 rec["printed_variance_form"] = printed_variance_limit(p)
             for key in list(rec):
                 if key.endswith("_form"):
-                    rec[key.replace("_form", "_matches")] = bool(
-                        abs(rec[key] - orc.oracle)
-                        <= 1e-6 * max(abs(orc.oracle), 1.0)
-                    )
+                    rec[key.replace("_form", "_matches")] = _matches(rec[key], orc.oracle)
             records.append(rec)
     records.append(
         {
@@ -697,7 +698,6 @@ def run_oracle_report(cfg: ExperimentConfig) -> dict:
             "bound_violations": int(sum(r.bound_violations for r in catalog)),
         }
     )
-    report = os.path.join(cfg.out_dir, "oracle_report.jsonl")
     write_jsonl(report, records)
     return {"report": report, "catalog": catalog_path, "records": records}
 
@@ -708,12 +708,11 @@ def run_sample_limit(cfg: ExperimentConfig) -> dict:
     The regime picks the limit: a Gaussian path on the grid for gamma < 1/2,
     the truncated jump path at cfg.epsilon for gamma > 1/2.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    report, *files = _outputs(
+        cfg, "sample_limit.jsonl",
+        *(f"limit_path_{rep:06d}.csv" for rep in range(cfg.replicates)),
+    )
     grid = np.linspace(0.0, 1.0, cfg.grid_points)
-    files = [
-        os.path.join(cfg.out_dir, f"limit_path_{rep:06d}.csv")
-        for rep in range(cfg.replicates)
-    ]
     if cfg.model.regime == "gaussian":
         ggrid = GaussianGrid.build(cfg.model, grid)
 
@@ -757,7 +756,6 @@ def run_sample_limit(cfg: ExperimentConfig) -> dict:
                 "band_variance_0p1_0p01": stable_band_variance(cfg.model, 0.1, 0.01),
             }
         )
-    report = os.path.join(cfg.out_dir, "sample_limit.jsonl")
     write_jsonl(report, records)
     return {"report": report, "paths": files, "records": records}
 

@@ -37,6 +37,12 @@ from .sampler import (
 
 MAX_GRID_POINTS = 512
 JITTER_BUDGET = 1e-10  # max jitter, as a fraction of mean diagonal
+SLOPE_REL_TOL = 1e-9  # slope check tolerance beyond the evaluations' rounding
+
+# Replicates drawn per block in stable_band_marginals.  Each block draws its
+# counts, then its points, for all of its replicates at once, so the block
+# size fixes the order of RNG draws: changing it changes every marginal.
+_MARGINAL_CHUNK = 4096
 
 
 @dataclass
@@ -155,18 +161,30 @@ class StablePath:
         """Limit from the right: excludes points dying exactly at t."""
         return self._eval(t, closed_death=False)
 
-    def validate_slopes(self, rel_tol: float = 1e-9) -> None:
+    def validate_slopes(self) -> None:
         """Assert that between consecutive events the slope equals the sum
-        of alive jump sizes."""
+        of alive jump sizes.
+
+        The observed slope is a difference quotient of two path values.  A
+        value is a sum of at most len(j) nonnegative terms j * (t - b), so
+        its rounding error is at most (len(j) + 2) * eps times the value, and
+        the quotient carries the two values' errors divided by the interval
+        length.  The tolerance is that bound plus SLOPE_REL_TOL relative
+        error.  A wrong alive set moves the slope by a whole jump, at least
+        c_tilde * epsilon**gamma, which exceeds the bound on all but the
+        narrowest intervals.
+        """
         grid = self.breakpoints()
+        unit = (len(self.j) + 2) * np.finfo(float).eps
         for lo, hi in zip(grid[:-1], grid[1:]):
             mid = 0.5 * (lo + hi)
             expected = float(
                 np.sum(self.j[(self.b <= mid) & (mid <= self.d)])
             )
-            observed = (self(hi) - self.right_limit(lo)) / (hi - lo)
-            scale = max(abs(expected), 1.0)
-            if abs(observed - expected) > rel_tol * scale:
+            at_hi, after_lo = self(hi), self.right_limit(lo)
+            observed = (at_hi - after_lo) / (hi - lo)
+            rounding = unit * (abs(at_hi) + abs(after_lo)) / (hi - lo)
+            if abs(observed - expected) > SLOPE_REL_TOL * max(abs(expected), 1.0) + rounding:
                 raise AssertionError(
                     f"slope {observed} != alive jump sum {expected} on "
                     f"({lo}, {hi})"
@@ -340,7 +358,6 @@ def stable_band_marginals(
     reps: int,
     cfg: SamplerConfig,
     stream: int = 0,
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Per-replicate values at a single time of the jump-size band
     [j_lo, j_hi): sum of J * (t - B) over band points alive at t.
@@ -364,7 +381,7 @@ def stable_band_marginals(
     out = np.zeros(reps)
     done = 0
     while done < reps:
-        m = min(chunk, reps - done)
+        m = min(_MARGINAL_CHUNK, reps - done)
         for component in (_alive_at_zero, _born_in_horizon):
             counts, b, d = component(rng, rate, m)
             if component is _born_in_horizon:

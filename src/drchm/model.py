@@ -10,8 +10,14 @@ time falls inside the vertex's alive interval.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+
+# Largest connection scale.  The limit constants raise beta to powers up to
+# 2 ((2 beta)**2 in the Gaussian covariance; c_tilde**(1/gamma) with
+# 1/gamma < 2 and c_tilde < 2e16 * beta in the jump measure), which overflow
+# a float near beta = 1e137; the cap keeps them finite with room to spare.
+MAX_BETA = 1e100
 
 
 class RegimeError(ValueError):
@@ -50,8 +56,8 @@ class ModelParams:
     n: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        if not 0 < self.beta <= MAX_BETA:
+            raise ValueError(f"beta must be in (0, {MAX_BETA:g}], got {self.beta}")
         if not 0 < self.gamma < 1:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.gamma == 0.5:

@@ -211,24 +211,24 @@ def _step_path_from_events(plus_times, minus_times, initial: float) -> StepPath:
     )
 
 
-def _count_events(edges: EdgeSet, t_max: float):
-    """The +1 and -1 event times in (0, t_max] and the initial level of
+def _count_events(edges: EdgeSet):
+    """The +1 and -1 event times in (0, 1] and the initial level of
     edge_count_path."""
     act = edges.activation
     deact = edges.deactivation
-    relevant = (act <= t_max) & (deact >= 0.0) & (act <= deact)
+    relevant = (act <= 1.0) & (deact >= 0.0) & (act <= deact)
     act = act[relevant]
     deact = deact[relevant]
     initial = float(np.sum(act <= 0.0) - np.sum(deact <= 0.0))
     plus = act[act > 0.0]
-    minus = deact[(deact > 0.0) & (deact < t_max)]
+    minus = deact[(deact > 0.0) & (deact < 1.0)]
     return plus, minus, initial
 
 
-def edge_count_path(edges: EdgeSet, t_max: float = 1.0) -> StepPath:
+def edge_count_path(edges: EdgeSet) -> StepPath:
     """S(t) = number of edges with activation <= t < deactivation, t in
-    [0, t_max]; an edge deactivating at or after t_max stays through t_max."""
-    return _step_path_from_events(*_count_events(edges, t_max))
+    [0, 1]; an edge deactivating at or after 1 stays through 1."""
+    return _step_path_from_events(*_count_events(edges))
 
 
 def edge_count_path_at(edges: EdgeSet, t) -> np.ndarray:
@@ -238,7 +238,7 @@ def edge_count_path_at(edges: EdgeSet, t) -> np.ndarray:
     <= t minus the -1 events at times <= t, so two sorted counts give it
     exactly, as floats equal to the path's values.
     """
-    plus, minus, initial = _count_events(edges, 1.0)
+    plus, minus, initial = _count_events(edges)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     return (
         initial

@@ -19,6 +19,7 @@ form conditional on the vertices and is checked against a tolerance.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,9 @@ class SamplerConfig:
     band_ratio: float = 0.5
 
     def __post_init__(self):
+        seed = self.master_seed
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ValueError(f"master_seed must be an integer >= 0, got {seed!r}")
         if not 0 < self.w_min < 1:
             raise ValueError(f"w_min must be in (0, 1), got {self.w_min}")
         if not self.missed_edge_tolerance > 0:

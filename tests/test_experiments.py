@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from drchm.catalog import CatalogRecord
 from drchm.cli import main
 from drchm.experiments import (
     ExperimentConfig,
@@ -33,6 +34,11 @@ def _base_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def _stable(**overrides):
+    """Overrides for a heavy-tailed-regime config."""
+    return {"model": {"beta": 0.25, "gamma": 0.7, "gamma_prime": 0.2, "n": 50.0}, **overrides}
 
 
 class TestConfigParsing:
@@ -159,6 +165,35 @@ class TestSimulate:
         res = run_simulate(cfg)
         per_time = res["summary"]["per_time"]
         assert all(np.isinf(pt["mean_se"]) for pt in per_time)
+
+
+class TestStrictJson:
+    @staticmethod
+    def _reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    @pytest.mark.parametrize(
+        "kind, replicates",
+        [("simulate", 1), ("validate-gaussian", 2), ("validate-gaussian", 30)],
+    )
+    def test_report_lines_are_strict_json(self, tmp_path, kind, replicates):
+        # At the parent each of these reports held bare NaN or Infinity tokens.
+        cfg = ExperimentConfig.from_dict(
+            _base_config(
+                kind=kind, replicates=replicates, n_ladder=[20, 40],
+                sampler={"master_seed": 3}, out_dir=str(tmp_path),
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            text = open(run_experiment(cfg)["report"]).read()
+        assert "null" in text
+        for line in text.splitlines():
+            json.loads(line, parse_constant=self._reject)
+
+    def test_catalog_record_is_strict_json(self):
+        rec = CatalogRecord("L", "equality", 3, float("nan"), 0)
+        assert json.loads(rec.to_json(), parse_constant=self._reject)["max_rel_err"] is None
 
 
 class TestEnsemble:
@@ -394,6 +429,37 @@ class TestCLI:
         data = _base_config(replicates=1)
         data["model"]["beta"] = beta
         self._exit_two_one_line(tmp_path, capsys, "simulate", data)
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("sample-limit", _stable(epsilon=0)),
+            ("validate-stable", _stable(ks_epsilon=2)),
+            ("validate-stable", _stable(eps_sequence=[0.1])),
+            ("validate-stable", _stable(eps_sequence=[0.05, 0.1])),
+            ("validate-stable", _stable(jump_samples=50)),
+            ("validate-stable", _stable(jump_samples=81)),
+            ("sample-limit", {"grid_points": 1000}),
+            ("simulate", {"sampler": {"master_seed": -1}}),
+            ("simulate", {"sampler": {"master_seed": 1.5}}),
+            ("simulate", {"sampler": {"master_seed": "x"}}),
+            ("simulate", {"model": {**_stable()["model"], "beta": 1e300}}),
+            ("simulate", {"out_dir": 0}),
+            ("simulate", {"out_dir": ""}),
+        ],
+    )
+    def test_fields_checked_at_the_boundary_exit_two(self, tmp_path, capsys, kind, overrides):
+        data = _base_config(kind=kind, replicates=2, **overrides)
+        self._exit_two_one_line(tmp_path, capsys, kind, data)
+
+    def test_smallest_jump_sample_accepted(self):
+        data = _base_config(kind="validate-stable", **_stable(jump_samples=82))
+        assert ExperimentConfig.from_dict(data).jump_samples == 82
+
+    def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, _base_config())
+        assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
+        assert "master_seed" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -85,6 +85,24 @@ class TestStablePath:
         assert path(0.9) == 0.0
         path.validate_slopes()
 
+    @pytest.mark.parametrize("stream", [45, 58])
+    def test_slope_check_tolerates_rounding_on_narrow_intervals(self, params_s, stream):
+        # These streams have event intervals 8.6e-9 and 8.1e-8 wide, where the
+        # difference quotient loses about 1e-8 to cancellation.
+        sample_stable_path(params_s, 0.01, SamplerConfig(master_seed=207), stream)
+
+    def test_slope_check_catches_a_dropped_point(self, params_s):
+        class DropsFirstPoint(StablePath):
+            def _eval(self, t, closed_death):
+                dead = (t > self.d[0]) if closed_death else (t >= self.d[0])
+                alive = (self.b[0] <= t) & ~dead
+                return super()._eval(t, closed_death) - self.j[0] * (t - self.b[0]) * alive
+
+        points = sample_stable_path(params_s, 0.01, SamplerConfig(master_seed=207), 0).points
+        path = DropsFirstPoint.from_points(points)
+        with pytest.raises(AssertionError, match="alive jump sum"):
+            path.validate_slopes()
+
     def test_sup_norm_to_constant(self):
         path = StablePath(j=[2.0], b=[0.25], d=[0.75])
         assert path.sup_norm_to_constant(0.0) == pytest.approx(1.0)
