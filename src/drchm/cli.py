@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
@@ -44,9 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
-    with open(args.config) as fh:
-        data = json.load(fh)
-    cfg = ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig.from_json(args.config)
     if cfg.kind != args.kind:
         raise ValueError(
             f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
@@ -66,7 +63,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,7 @@ from .limits import (
     sample_stable_path,
     stable_marginals,
 )
-from .model import ModelParams, require_gaussian, require_stable
+from .model import ModelParams, check_number, require_gaussian, require_stable
 from .oracles import (
     CovarianceConstants,
     adjudicated_constants,
@@ -47,8 +46,8 @@ from .oracles import (
 from .paths import (
     _write_csv,
     build_edges,
-    edge_count_at,
     edge_count_path,
+    edge_count_path_at,
     mark_split_marginals,
     mark_split_paths,
     pm_edge_count_paths,
@@ -120,35 +119,32 @@ class ExperimentConfig:
                 f"unknown experiment kind {self.kind!r}; "
                 f"expected one of {EXPERIMENT_KINDS}"
             )
-        _check_window(self.model.n, "model.n")
-        times = tuple(float(t) for t in self.eval_times)
-        if any(not 0.0 <= t <= 1.0 for t in times):
-            raise ValueError(f"eval_times must lie in [0, 1], got {times}")
+        check_number("model.n", self.model.n, 0, MAX_WINDOW, hi_closed=True)
+        times = _entries("eval_times", self.eval_times, 0, 1, lo_closed=True, hi_closed=True)
         if times != tuple(sorted(times)):
             raise ValueError(f"eval_times must be sorted, got {times}")
         if not times and self.kind in _NEEDS_EVAL_TIMES:
             raise ValueError(f"{self.kind} needs at least one eval_times entry")
         object.__setattr__(self, "eval_times", times)
-        object.__setattr__(self, "n_ladder", tuple(self.n_ladder))
-        for n in self.n_ladder:
-            _check_window(n, "n_ladder entry")
-        eps = tuple(float(e) for e in self.eps_sequence)
+        ladder = _entries("n_ladder", self.n_ladder, 0, MAX_WINDOW, hi_closed=True)
+        object.__setattr__(self, "n_ladder", ladder)
+        eps = _entries("eps_sequence", self.eps_sequence, 0, 1, hi_closed=True)
+        if len(eps) < 2 or not _decreasing(eps):
+            raise ValueError(f"eps_sequence must be 2+ decreasing values in (0, 1], got {eps}")
         object.__setattr__(self, "eps_sequence", eps)
         for name in ("epsilon", "ks_epsilon"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)!r}")
-        if len(eps) < 2 or not all(0.0 < e <= 1.0 for e in eps) or not _decreasing(eps):
-            raise ValueError(f"eps_sequence must be 2+ decreasing values in (0, 1], got {eps}")
-        if self.u_threshold is not None and not 0.0 < self.u_threshold < 1.0:
-            raise ValueError(f"u_threshold must be in (0, 1), got {self.u_threshold}")
+            check_number(name, getattr(self, name), 0, 1, hi_closed=True)
+        if self.u_threshold is not None:
+            check_number("u_threshold", self.u_threshold, 0, 1)
         for name, least in _INT_FIELDS:
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.model.regime == "gaussian" and self.grid_points > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid_points must be <= {MAX_GRID_POINTS} (Gaussian), got {self.grid_points}"
+            check_number(name, getattr(self, name), least, math.inf, lo_closed=True, integer=True)
+        if self.model.regime == "gaussian":
+            check_number(
+                "grid_points", self.grid_points, 2, MAX_GRID_POINTS,
+                lo_closed=True, hi_closed=True, integer=True,
             )
+        if not isinstance(self.write_paths, bool):
+            raise ValueError(f"write_paths must be true or false, got {self.write_paths!r}")
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ValueError(f"out_dir must be a non-empty path, got {self.out_dir!r}")
 
@@ -170,20 +166,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Strict construction: unknown keys anywhere are an error."""
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be a mapping, got {type(data).__name__}")
-        data = dict(data)
-        for key in ("model", "kind"):
-            if key not in data:
-                raise ValueError(f"config is missing required key {key!r}")
-        model = _build_strict(ModelParams, data.pop("model"), "model")
-        sampler = _build_strict(SamplerConfig, data.pop("sampler", {}), "sampler")
-        known = {f.name for f in dataclasses.fields(cls)} - {"model", "sampler"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(model=model, sampler=sampler, **data)
+        """Strict construction: unknown or missing keys anywhere are an
+        error; an absent sampler section means SamplerConfig()."""
+        if isinstance(data, dict):
+            data = {"sampler": {}, **data}
+        return _build_strict(cls, data, "config", model=ModelParams, sampler=SamplerConfig)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -197,24 +184,30 @@ class ExperimentConfig:
         return out
 
 
-def _is_int(value) -> bool:
-    """A real integer: bool is a subclass of int but is not accepted."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _entries(name: str, values, lo, hi, **closed) -> tuple:
+    """A list field as a tuple of floats, each entry checked by check_number."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    for value in values:
+        check_number(f"{name} entry", value, lo, hi, **closed)
+    return tuple(float(v) for v in values)
 
 
-def _check_window(n, label: str) -> None:
-    if isinstance(n, bool) or not (isinstance(n, numbers.Real) and 0 < n <= MAX_WINDOW):
-        raise ValueError(f"{label} must be a number in (0, {MAX_WINDOW:g}], got {n!r}")
-
-
-def _build_strict(cls, data: dict, label: str):
+def _build_strict(cls, data: dict, label: str, **sections):
+    """cls(**data), with unknown keys and absent fields that have no default
+    rejected; each keyword names a key of data that is itself built strictly
+    as the given class."""
     if not isinstance(data, dict):
         raise ValueError(f"{label} must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
     if unknown:
         raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
-    return cls(**data)
+    missing = [f.name for f in fields if f.name not in data and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{label} is missing required key {missing[0]!r}")
+    built = {key: _build_strict(sub, data[key], key) for key, sub in sections.items()}
+    return cls(**{**data, **built})
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +237,17 @@ def _simulate_one(
     eval_times,
     u_threshold: float | None = None,
 ) -> dict:
-    """One replicate: vertex/interaction sample, edges, and marginals.
+    """One replicate: vertex/interaction sample, edges, and marginals of the
+    right-continuous edge-count path (edge_count_path) at eval_times.
 
     When u_threshold is given, low/high mark marginals and the sup over the
-    horizon of the centered high-mark path are recorded as well.
+    horizon of the centered high-mark path are recorded as well; counts ==
+    low_counts + high_counts.
     """
     vs, interactions, edges = _sample_edges(params, scfg, stream)
     times = np.asarray(eval_times, dtype=float)
     out = {
-        "counts": np.atleast_1d(edge_count_at(edges, times)),
+        "counts": edge_count_path_at(edges, times),
         "missed_edge_bound": interactions.missed_edge_bound,
         "edges": len(edges),
     }

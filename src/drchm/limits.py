@@ -29,6 +29,7 @@ from .sampler import (
     SamplerConfig,
     _alive_at_zero,
     _born_in_horizon,
+    _jump_sizes,
     _nu_tail,
     limit_jump_threshold,
     sample_limit_band,
@@ -369,15 +370,9 @@ def stable_band_marginals(
     if not 0 < j_lo < j_hi:
         raise ValueError(f"need 0 < j_lo < j_hi, got ({j_lo}, {j_hi})")
     rng = stream_generator(cfg.master_seed, stream)
-    lo_mass = _nu_tail(params, j_lo)
-    hi_mass = _nu_tail(params, j_hi) if np.isfinite(j_hi) else 0.0
-    rate = lo_mass - hi_mass
-
-    def draw_jumps(count):
-        v = 1.0 - rng.random(size=count)
-        tail = hi_mass + v * (lo_mass - hi_mass)
-        return params.c_tilde * tail ** (-params.gamma)
-
+    rate = _nu_tail(params, j_lo)
+    if np.isfinite(j_hi):
+        rate -= _nu_tail(params, j_hi)
     out = np.zeros(reps)
     done = 0
     while done < reps:
@@ -386,7 +381,7 @@ def stable_band_marginals(
             counts, b, d = component(rng, rate, m)
             if component is _born_in_horizon:
                 d += b  # lifetimes to death times
-            jumps = draw_jumps(len(b))
+            jumps = _jump_sizes(params, j_lo, j_hi, 1.0 - rng.random(size=len(b)))
             contrib = jumps * (t - b) * ((b <= t) & (t <= d))
             rep = np.repeat(np.arange(m), counts)
             out[done : done + m] += np.bincount(rep, weights=contrib, minlength=m)

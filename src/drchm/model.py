@@ -10,6 +10,8 @@ time falls inside the vertex's alive interval.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -18,6 +20,27 @@ from dataclasses import dataclass
 # 1/gamma < 2 and c_tilde < 2e16 * beta in the jump measure), which overflow
 # a float near beta = 1e137; the cap keeps them finite with room to spare.
 MAX_BETA = 1e100
+
+
+def check_number(name, value, lo, hi, *, lo_closed=False, hi_closed=False, integer=False):
+    """The one rule for a numeric config field: value must be a real number
+    (an integer when integer is set; never a bool) inside the interval from
+    lo to hi, closed at each end as flagged.  NaN fails every interval, and
+    an infinity fails unless the interval is closed at that infinite end.
+    Raises ValueError("<name> must be a number in (lo, hi], got <value>").
+    """
+    inside = (
+        isinstance(value, numbers.Integral if integer else numbers.Real)
+        and not isinstance(value, bool)
+        and (lo <= value if lo_closed else lo < value)
+        and (value <= hi if hi_closed else value < hi)
+    )
+    if not inside:
+        raise ValueError(
+            f"{name} must be {'an integer' if integer else 'a number'} in "
+            f"{'[' if lo_closed else '('}{lo:g}, {hi:g}{']' if hi_closed else ')'}, "
+            f"got {value!r}"
+        )
 
 
 class RegimeError(ValueError):
@@ -56,18 +79,12 @@ class ModelParams:
     n: float
 
     def __post_init__(self):
-        if not 0 < self.beta <= MAX_BETA:
-            raise ValueError(f"beta must be in (0, {MAX_BETA:g}], got {self.beta}")
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        check_number("beta", self.beta, 0, MAX_BETA, hi_closed=True)
+        check_number("gamma", self.gamma, 0, 1)
         if self.gamma == 0.5:
             raise ValueError("gamma = 1/2 is not covered by either regime")
-        if not 0 < self.gamma_prime < 1:
-            raise ValueError(
-                f"gamma_prime must be in (0, 1), got {self.gamma_prime}"
-            )
-        if not self.n >= 0:
-            raise ValueError(f"window length n must be >= 0, got {self.n}")
+        check_number("gamma_prime", self.gamma_prime, 0, 1)
+        check_number("n", self.n, 0, math.inf, lo_closed=True)
 
     @property
     def regime(self) -> str:
@@ -174,15 +191,6 @@ def _check_weight(value) -> None:
 
     if np.any(np.asarray(value) <= 0):
         raise ValueError("weights must be positive")
-
-
-def mean_lifetime_overlap(b: float, l: float, t: float) -> float:
-    """Length of [b, b + l] clipped to (-inf, min(death, t)] from b.
-
-    Helper used by the missed-edge bound: the span of interaction times that
-    can produce an edge with this vertex somewhere on [0, min(1, t)].
-    """
-    return max(0.0, min(b + l, t) - b)
 
 
 def require_gaussian(params: ModelParams) -> None:

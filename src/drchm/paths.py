@@ -248,8 +248,9 @@ def edge_count_path_at(edges: EdgeSet, t) -> np.ndarray:
 
 
 def edge_count_at(edges: EdgeSet, t) -> np.ndarray:
-    """Direct recount of active edges at one or more times; cheaper than a
-    full path when only marginals are needed, and the oracle for it."""
+    """Direct recount of the edges with activation <= t <= deactivation at
+    one or more times: the brute-force oracle for the path evaluators, which
+    agree with it at every t that is not an event time."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     counts = np.array(
         [
@@ -265,7 +266,8 @@ def pm_edge_count_paths(edges: EdgeSet) -> tuple[StepPath, StepPath]:
     """Monotone decomposition S = plus - minus.
 
     plus(t) counts edges whose interaction time has occurred by t; minus(t)
-    counts edges whose vertex has died by t.  Both are nondecreasing and the
+    counts edges whose vertex has died by t, where, as in edge_count_path, a
+    death at 1 counts only after the horizon.  Both are nondecreasing and the
     difference recovers the edge count.
     """
     act = edges.activation
@@ -278,7 +280,7 @@ def pm_edge_count_paths(edges: EdgeSet) -> tuple[StepPath, StepPath]:
         act[(act > 0.0) & (act <= 1.0)], np.array([]), float(np.sum(act <= 0.0))
     )
     minus = _step_path_from_events(
-        deact[(deact > 0.0) & (deact <= 1.0)],
+        deact[(deact > 0.0) & (deact < 1.0)],
         np.array([]),
         float(np.sum(deact <= 0.0)),
     )

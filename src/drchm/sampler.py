@@ -19,12 +19,11 @@ form conditional on the vertices and is checked against a tolerance.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, TruncationError, require_stable
+from .model import ModelParams, TruncationError, check_number, require_stable
 from .rng import stream_generator, substream_generator
 
 
@@ -47,15 +46,10 @@ class SamplerConfig:
     band_ratio: float = 0.5
 
     def __post_init__(self):
-        seed = self.master_seed
-        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
-            raise ValueError(f"master_seed must be an integer >= 0, got {seed!r}")
-        if not 0 < self.w_min < 1:
-            raise ValueError(f"w_min must be in (0, 1), got {self.w_min}")
-        if not self.missed_edge_tolerance > 0:
-            raise ValueError("missed_edge_tolerance must be positive")
-        if not 0 < self.band_ratio < 1:
-            raise ValueError(f"band_ratio must be in (0, 1), got {self.band_ratio}")
+        check_number("master_seed", self.master_seed, 0, np.inf, lo_closed=True, integer=True)
+        check_number("w_min", self.w_min, 0, 1)
+        check_number("missed_edge_tolerance", self.missed_edge_tolerance, 0, np.inf)
+        check_number("band_ratio", self.band_ratio, 0, 1)
 
 
 @dataclass
@@ -309,17 +303,19 @@ def _sample_band_points(
     _, b_born, l_born = _born_in_horizon(rng, rate)
     b = np.concatenate([b_alive, b_born])
     l = np.concatenate([d_alive - b_alive, l_born])
-    m = len(b)
-    # Inverse transform on the restricted tail: nu is Pareto(1/gamma) above j_lo.
-    v = 1.0 - rng.random(size=m)
-    if np.isfinite(j_hi):
-        lo_mass = _nu_tail(params, j_lo)
-        hi_mass = _nu_tail(params, j_hi)
-        tail = hi_mass + v * (lo_mass - hi_mass)
-        j = params.c_tilde * tail ** (-params.gamma)
-    else:
-        j = j_lo * v ** (-params.gamma)
+    j = _jump_sizes(params, j_lo, j_hi, 1.0 - rng.random(size=len(b)))
     return LimitPointSample(j=j, b=b, l=l)
+
+
+def _jump_sizes(params: ModelParams, j_lo: float, j_hi: float, v: np.ndarray) -> np.ndarray:
+    """Jump sizes in [j_lo, j_hi) from uniforms v in (0, 1], by the inverse
+    transform of nu's tail restricted to the band (nu is Pareto(1/gamma)
+    above j_lo, so an unbounded band needs no tail masses)."""
+    if not np.isfinite(j_hi):
+        return j_lo * v ** (-params.gamma)
+    lo_mass = _nu_tail(params, j_lo)
+    hi_mass = _nu_tail(params, j_hi)
+    return params.c_tilde * (hi_mass + v * (lo_mass - hi_mass)) ** (-params.gamma)
 
 
 def sample_vertices_burn_in(

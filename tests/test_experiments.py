@@ -20,7 +20,7 @@ from drchm.experiments import (
 )
 from drchm.model import ModelParams
 from drchm.oracles import mean_edge_count
-from drchm.paths import StepPath, build_edges, mark_split_paths
+from drchm.paths import StepPath, build_edges, edge_count_path, mark_split_paths
 from drchm.sampler import SamplerConfig, sample_interactions, sample_vertices
 
 
@@ -229,7 +229,7 @@ class TestEnsemble:
         ],
     )
     def test_marginals_equal_mark_split_paths(self, params, thr):
-        # low_counts, high_counts and high_sup equal the two-path route
+        # counts, low_counts, high_counts and high_sup equal the path route
         # exactly, also at eval times that coincide with edge events.
         scfg = SamplerConfig(master_seed=9, w_min=1e-6)
         for stream in range(4):
@@ -239,6 +239,7 @@ class TestEnsemble:
             times = np.unique(np.concatenate([[0.0, 0.5, 1.0], events[(events >= 0) & (events <= 1)]]))
             rep = _simulate_one(params, scfg, stream, tuple(times), thr)
             low, high = mark_split_paths(edges, vs, thr)
+            assert np.all(rep["counts"] == edge_count_path(edges)(times))
             assert np.all(rep["low_counts"] == low(times))
             assert np.all(rep["high_counts"] == high(times))
             assert rep["high_sup"] == float(
@@ -446,6 +447,16 @@ class TestCLI:
             ("simulate", {"model": {**_stable()["model"], "beta": 1e300}}),
             ("simulate", {"out_dir": 0}),
             ("simulate", {"out_dir": ""}),
+            ("simulate", {"model": {**_base_config()["model"], "beta": True}}),
+            ("simulate", {"epsilon": True}),
+            ("simulate", {"ks_epsilon": True}),
+            ("simulate", {"sampler": {"missed_edge_tolerance": True}}),
+            ("simulate", {"sampler": {"missed_edge_tolerance": float("inf")}}),
+            ("simulate", {"eval_times": ["0.25", "0.5"]}),
+            ("simulate", {"eval_times": [False, True]}),
+            ("simulate", {"eps_sequence": ["0.1", "0.05"]}),
+            ("simulate", {"write_paths": "x"}),
+            ("simulate", {"write_paths": 0}),
         ],
     )
     def test_fields_checked_at_the_boundary_exit_two(self, tmp_path, capsys, kind, overrides):

@@ -9,7 +9,6 @@ from drchm.model import (
     RegimeError,
     Vertex,
     is_connected,
-    mean_lifetime_overlap,
     pm_temporal_nbhd_size,
     require_gaussian,
     require_stable,
@@ -37,6 +36,9 @@ class TestModelParams:
             dict(beta=0.25, gamma=0.2, gamma_prime=1.5, n=1.0),
             dict(beta=0.25, gamma=0.2, gamma_prime=0.2, n=-1.0),
             dict(beta=float("inf"), gamma=0.2, gamma_prime=0.2, n=1.0),
+            dict(beta=True, gamma=0.2, gamma_prime=0.2, n=1.0),
+            dict(beta=0.25, gamma=0.2, gamma_prime="0.2", n=1.0),
+            dict(beta=0.25, gamma=0.2, gamma_prime=0.2, n=float("inf")),
         ],
     )
     def test_invalid_construction(self, kwargs):
@@ -124,11 +126,6 @@ class TestTemporal:
             assert diff == pytest.approx(temporal_nbhd_size(v, t))
         with pytest.raises(ValueError):
             pm_temporal_nbhd_size(v, 0.5, "both")
-
-    def test_mean_lifetime_overlap(self):
-        assert mean_lifetime_overlap(-0.5, 2.0, 1.0) == pytest.approx(1.5)
-        assert mean_lifetime_overlap(0.2, 0.3, 1.0) == pytest.approx(0.3)
-        assert mean_lifetime_overlap(2.0, 1.0, 1.0) == 0.0
 
 
 class TestRegimeGuards:

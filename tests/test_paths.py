@@ -350,6 +350,23 @@ def _split_instances(draw):
     return edges, vs, thr, t
 
 
+class TestDecompositionProperties:
+    @PROPERTY
+    @given(_split_instances())
+    def test_identities_on_the_union_grid(self, instance):
+        # plus - minus and low + high rebuild the path exactly, with ties,
+        # act > deact, deaths <= 0 or >= 1 and grid times on every event.
+        edges, vs, thr, t = instance
+        path = edge_count_path(edges)
+        plus, minus = pm_edge_count_paths(edges)
+        low, high = mark_split_paths(edges, vs, thr)
+        grid = np.unique(
+            np.concatenate([t, path.times, plus.times, minus.times, low.times, high.times, [1.0]])
+        )
+        assert np.all(plus(grid) - minus(grid) == path(grid))
+        assert np.all(low(grid) + high(grid) == path(grid))
+
+
 class TestCountOnlyMarginals:
     @PROPERTY
     @given(_split_instances())

@@ -35,6 +35,8 @@ class TestSamplerConfig:
             dict(missed_edge_tolerance=0.0),
             dict(band_ratio=1.0),
             dict(band_ratio=0.0),
+            dict(missed_edge_tolerance=float("inf")),
+            dict(missed_edge_tolerance=True),
         ],
     )
     def test_invalid(self, kwargs):
