@@ -33,8 +33,6 @@ from .model import (
     temporal_nbhd_size,
 )
 from .oracles import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
     gl_panel,
     half_line_rule,
     improper_power_quad,
@@ -356,29 +354,23 @@ def _draw_params(rng, g=(0.05, 0.9), gp=(0.05, 0.9), beta=(0.1, 1.0), n=1.0):
     )
 
 
-_LIGHT_QUAD = QuadratureConfig(
-    rel_tolerance=1e-6, max_subdivisions=100, gauss_order=24
-)
-
-
 # ---------------------------------------------------------------------------
 # checks: each yields (value, reference) pairs for one draw
 
 
-def _chk_spatial_size(rng, cfg):
+def _chk_spatial_size(rng):
     p = _draw_params(rng)
     u = float(rng.uniform(0.05, 1.0))
-    yield spatial_size_quad(p, u, cfg), spatial_nbhd_size(p, u)
+    yield spatial_size_quad(p, u), spatial_nbhd_size(p, u)
 
 
-def _chk_spatial_size_mark_restricted(rng, cfg):
+def _chk_spatial_size_mark_restricted(rng):
     p = _draw_params(rng)
     w = float(rng.uniform(0.05, 1.0))
     u_lo = float(rng.uniform(0.01, 0.9))
     num = improper_power_quad(
         lambda u: 2.0 * p.beta * u ** (-p.gamma) * w ** (-p.gamma_prime),
         p.gamma,
-        cfg,
         lo=u_lo,
     )
     ref = (
@@ -391,22 +383,22 @@ def _chk_spatial_size_mark_restricted(rng, cfg):
     yield num, ref
 
 
-def _chk_spatial_moment(rng, cfg):
+def _chk_spatial_moment(rng):
     p = _draw_params(rng)
     alpha = float(rng.uniform(0.2, min(3.0, 0.95 / p.gamma)))
     length = float(rng.uniform(0.5, 3.0))
-    num = length * spatial_moment_quad(p, alpha, cfg)
+    num = length * spatial_moment_quad(p, alpha)
     ref = p.c_tilde**alpha * length / (1.0 - alpha * p.gamma)
     yield num, ref
 
 
-def _chk_spatial_moment_mark_restricted(rng, cfg):
+def _chk_spatial_moment_mark_restricted(rng):
     p = _draw_params(rng)
     alpha = float(rng.uniform(0.2, 3.0))
     while abs(1.0 - alpha * p.gamma) < 0.05:
         alpha = float(rng.uniform(0.2, 3.0))
     u_lo = float(rng.uniform(0.02, 0.8))
-    num = spatial_moment_quad(p, alpha, cfg, u_lo=u_lo)
+    num = spatial_moment_quad(p, alpha, u_lo=u_lo)
     ref = (
         p.c_tilde**alpha
         * (1.0 - u_lo ** (1.0 - alpha * p.gamma))
@@ -415,7 +407,7 @@ def _chk_spatial_moment_mark_restricted(rng, cfg):
     yield num, ref
 
 
-def _chk_spatial_pair_size_bound(rng, cfg):
+def _chk_spatial_pair_size_bound(rng):
     p = _draw_params(rng, gp=(0.1, 0.9))
     u1, u2 = (float(v) for v in rng.uniform(0.1, 1.0, size=2))
     d = float(rng.uniform(0.3, 3.0))
@@ -426,7 +418,7 @@ def _chk_spatial_pair_size_bound(rng, cfg):
         r2 = p.beta * a2 * w ** (-p.gamma_prime)
         return max(0.0, min(r1, d + r2) - max(-r1, d - r2))
 
-    num = improper_power_quad(overlap, p.gamma_prime, cfg)
+    num = improper_power_quad(overlap, p.gamma_prime)
     bound = (
         2.0
         * (2.0 * p.beta) ** (1.0 / p.gamma_prime)
@@ -437,7 +429,7 @@ def _chk_spatial_pair_size_bound(rng, cfg):
     yield num, bound
 
 
-def _chk_spatial_pair_integral_limit(rng, cfg):
+def _chk_spatial_pair_integral_limit(rng):
     n = 20.0
     p = _draw_params(rng, g=(0.05, 0.95), gp=(0.05, 0.45), n=n)
     rule = _power_u_rule(p.gamma)
@@ -448,7 +440,7 @@ def _chk_spatial_pair_integral_limit(rng, cfg):
     yield num, bound
 
 
-def _chk_spatial_pair_integral_mark_restricted(rng, cfg):
+def _chk_spatial_pair_integral_mark_restricted(rng):
     n = 20.0
     p = _draw_params(rng, g=(0.05, 0.95), gp=(0.05, 0.45), n=n)
     u_n = n ** -float(rng.uniform(0.2, 0.9))
@@ -460,16 +452,18 @@ def _chk_spatial_pair_integral_mark_restricted(rng, cfg):
     yield num, bound
 
 
-def _chk_spatial_profile_moment_bound(rng, cfg):
+def _chk_spatial_profile_moment_bound(rng):
     n = 3.0
     m = int(rng.integers(2, 4))
     p = _draw_params(rng, gp=(0.05, 1.0 / m - 0.05), n=n)
-    num = window_pair_spatial_quad(p, n, _LIGHT_QUAD, power=float(m))
+    num = window_pair_spatial_quad(
+        p, n, float(m), order=24, rel_tolerance=1e-6, limit=100
+    )
     bound = (2.0 * p.beta / (1.0 - p.gamma)) ** m * n / (1.0 - m * p.gamma_prime)
     yield num, bound
 
 
-def _chk_spatial_weighted_pair_bound(rng, cfg):
+def _chk_spatial_weighted_pair_bound(rng):
     n = 10.0
     m1, m2, m3 = (int(v) for v in rng.integers(0, 3, size=3))
     g_hi = 1.0 / (1 + max(m1, m2) + m3) - 0.03
@@ -488,7 +482,7 @@ def _chk_spatial_weighted_pair_bound(rng, cfg):
     yield num, c * (cp + cpp)
 
 
-def _chk_spatial_weighted_pair_mark_restricted(rng, cfg):
+def _chk_spatial_weighted_pair_mark_restricted(rng):
     n = 10.0
     m1, m2, m3 = (int(v) for v in rng.integers(0, 3, size=3))
     gp_hi = 1.0 / (2 + m3) - 0.03
@@ -503,7 +497,7 @@ def _chk_spatial_weighted_pair_mark_restricted(rng, cfg):
     yield num, c * (abs(cp) * u_m**-e1 + abs(cpp) * u_m**-e2)
 
 
-def _chk_temporal_size(rng, cfg):
+def _chk_temporal_size(rng):
     b = float(rng.uniform(-2.0, 1.0))
     life = float(rng.uniform(0.1, 3.0))
     t = float(rng.uniform(0.0, 1.0))
@@ -512,26 +506,23 @@ def _chk_temporal_size(rng, cfg):
         lambda r: float(b <= r <= t <= b + life),
         b - 0.5,
         max(t, b + life) + 0.5,
-        cfg,
         points=[b, t, b + life],
     )
     yield num, temporal_nbhd_size(v, t)
 
 
-def _chk_temporal_profile(rng, cfg):
+def _chk_temporal_profile(rng):
     r = float(rng.uniform(-2.0, 1.5))
     t = float(rng.uniform(0.0, 1.0))
-    num = temporal_profile_quad(r, t, cfg)
+    num = temporal_profile_quad(r, t)
     ref = math.exp(-(t - r)) if r <= t else 0.0
     yield num, ref
 
 
-def _chk_temporal_moment(rng, cfg):
+def _chk_temporal_moment(rng):
     alpha = float(rng.uniform(0.2, 4.0))
     t = float(rng.uniform(0.0, 1.0))
-    num = temporal_weighted_quad(
-        lambda b, l: (t - b) ** alpha, t, lambda b: t - b, cfg
-    )
+    num = temporal_weighted_quad(lambda b, l: (t - b) ** alpha, t, lambda b: t - b)
     yield num, math.gamma(alpha + 1.0)
 
 
@@ -543,19 +534,19 @@ def _profile_power_integral(alpha: float, t: float) -> float:
     return float(np.sum(wr * (np.exp(-(t - r)) * base) ** alpha))
 
 
-def _chk_temporal_cap_profile(rng, cfg):
+def _chk_temporal_cap_profile(rng):
     t = float(rng.uniform(0.0, 1.0))
     m = int(rng.integers(1, 4))
     yield _profile_power_integral(float(m), t), 1.0 / m
 
 
-def _chk_temporal_profile_moment(rng, cfg):
+def _chk_temporal_profile_moment(rng):
     t = float(rng.uniform(0.0, 1.0))
     alpha = float(rng.uniform(0.2, 3.0))
     yield _profile_power_integral(alpha, t), 1.0 / alpha
 
 
-def _chk_temporal_chain_bound(rng, cfg):
+def _chk_temporal_chain_bound(rng):
     a1 = float(rng.uniform(0.2, 2.0))
     a2 = float(rng.uniform(0.2, 2.0))
     t1, t2 = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
@@ -569,7 +560,7 @@ def _chk_temporal_chain_bound(rng, cfg):
     yield num, math.gamma(a1 + 1.0) * math.gamma(a2 + 2.0)
 
 
-def _chk_pm_size(rng, cfg):
+def _chk_pm_size(rng):
     b = float(rng.uniform(-2.0, 1.0))
     life = float(rng.uniform(0.1, 3.0))
     t = float(rng.uniform(0.0, 1.0))
@@ -577,16 +568,14 @@ def _chk_pm_size(rng, cfg):
     pts = [b, b + life, t]
     lo, hi = b - 0.5, max(t, b + life) + 0.5
     num_plus = quad_1d(
-        lambda r: float(b <= r <= min(b + life, t)), lo, hi, cfg, points=pts
+        lambda r: float(b <= r <= min(b + life, t)), lo, hi, points=pts
     )
-    num_minus = quad_1d(
-        lambda r: float(b <= r <= b + life <= t), lo, hi, cfg, points=pts
-    )
+    num_minus = quad_1d(lambda r: float(b <= r <= b + life <= t), lo, hi, points=pts)
     yield num_plus, pm_temporal_nbhd_size(v, t, "plus")
     yield num_minus, pm_temporal_nbhd_size(v, t, "minus")
 
 
-def _chk_pm_profile(rng, cfg):
+def _chk_pm_profile(rng):
     r = float(rng.uniform(-2.0, 1.2))
     t = float(rng.uniform(0.2, 1.0))
     ref_plus = (math.exp(r) if r <= 0 else 1.0) if r <= t else 0.0
@@ -600,14 +589,14 @@ def _chk_pm_profile(rng, cfg):
     yield float(_pm_profile_inner(r, t, "minus")), ref_minus
 
 
-def _chk_pm_moment(rng, cfg):
+def _chk_pm_moment(rng):
     t = float(rng.uniform(0.1, 1.0))
     m = int(rng.integers(1, 4))
     yield _pm_moment_numeric(float(m), t, "plus"), math.factorial(m) * (t + 1.0)
     yield _pm_moment_numeric(float(m), t, "minus"), math.factorial(m) * t
 
 
-def _chk_pm_moment_bound(rng, cfg):
+def _chk_pm_moment_bound(rng):
     t = float(rng.uniform(0.05, 1.0))
     alpha = float(rng.uniform(0.05, 3.0))
     c = (2.0 * alpha) ** alpha * math.exp(-alpha)
@@ -616,7 +605,7 @@ def _chk_pm_moment_bound(rng, cfg):
     yield _pm_moment_numeric(alpha, t, "minus"), bound
 
 
-def _chk_pm_difference_moment_bound(rng, cfg):
+def _chk_pm_difference_moment_bound(rng):
     t1, t2 = sorted(float(v) for v in rng.uniform(0.0, 1.0, size=2))
     if t2 - t1 < 1e-3:
         t2 = min(1.0, t1 + 1e-3)
@@ -626,7 +615,7 @@ def _chk_pm_difference_moment_bound(rng, cfg):
     yield _pm_difference_moment_numeric(m, t1, t2, "minus"), bound
 
 
-def _chk_pm_difference_profile_plus(rng, cfg):
+def _chk_pm_difference_profile_plus(rng):
     t1, t2 = sorted(float(v) for v in rng.uniform(0.0, 1.0, size=2))
     if t2 - t1 < 1e-3:
         t2 = min(1.0, t1 + 1e-3)
@@ -637,7 +626,7 @@ def _chk_pm_difference_profile_plus(rng, cfg):
     yield float(np.sum(wr * inner**m)), t2 - t1
 
 
-def _chk_pm_difference_profile_minus_bound(rng, cfg):
+def _chk_pm_difference_profile_minus_bound(rng):
     t1, t2 = sorted(float(v) for v in rng.uniform(0.0, 1.0, size=2))
     if t2 - t1 < 1e-3:
         t2 = min(1.0, t1 + 1e-3)
@@ -647,7 +636,7 @@ def _chk_pm_difference_profile_minus_bound(rng, cfg):
     yield float(np.sum(wr * inner**m)), t2 - t1
 
 
-def _chk_pm_cap_integral_plus(rng, cfg):
+def _chk_pm_cap_integral_plus(rng):
     t = float(rng.uniform(0.1, 1.0))
     m = int(rng.integers(1, 4))
     r, wr = _line_rule(breaks=[0.0], lo=t - _CUTOFF, hi=t)
@@ -655,7 +644,7 @@ def _chk_pm_cap_integral_plus(rng, cfg):
     yield float(np.sum(wr * inner**m)), 1.0 / m + t
 
 
-def _chk_pm_cap_integral_minus_bound(rng, cfg):
+def _chk_pm_cap_integral_minus_bound(rng):
     t = float(rng.uniform(0.1, 1.0))
     m = int(rng.integers(1, 4))
     r, wr = _line_rule(breaks=[0.0], lo=t - _CUTOFF, hi=t)
@@ -663,7 +652,7 @@ def _chk_pm_cap_integral_minus_bound(rng, cfg):
     yield float(np.sum(wr * inner**m)), 1.0 / m + t
 
 
-def _chk_pm_chain_finite(rng, cfg):
+def _chk_pm_chain_finite(rng):
     """Finiteness of the chained plus/minus moment integral, certified by a
     numeric evaluation of the dominating product (intersection <= second
     factor's neighborhood)."""
@@ -732,9 +721,7 @@ _CHECKS = [
 
 
 def lemma_catalog_check(
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-    draws: int = 20,
-    master_seed: int = 20240817,
+    draws: int = 20, master_seed: int = 20240817
 ) -> list[CatalogRecord]:
     """Run every catalog check with the given number of randomized draws."""
     records = []
@@ -743,7 +730,7 @@ def lemma_catalog_check(
         max_err = 0.0
         violations = 0
         for _ in range(draws):
-            for value, reference in fn(rng, cfg):
+            for value, reference in fn(rng):
                 if kind == "equality":
                     err = abs(value - reference) / max(abs(reference), 1e-9)
                     max_err = max(max_err, err)

@@ -81,9 +81,19 @@ _STREAM_BLOCK = 1_000_000
 # already needs tens of gigabytes, and numpy's Poisson sampler stops near 9e18.
 MAX_WINDOW = 1e9
 
-# Integer fields and their least values.  82 is the fewest jump samples for
-# which hill_tail_index's default k = ceil(sqrt(count)) has 10 <= k < count / 2.
-_INT_FIELDS = (("replicates", 1), ("jump_samples", 82), ("workers", 1), ("grid_points", 2))
+# Most replicate worker threads.  A fixed cap, not one based on the core
+# count, so that a config valid on one machine is valid on all.
+MAX_WORKERS = 256
+
+# Integer fields and their least and greatest values.  82 is the fewest jump
+# samples for which hill_tail_index's default k = ceil(sqrt(count)) has
+# 10 <= k < count / 2.
+_INT_FIELDS = (
+    ("replicates", 1, math.inf),
+    ("jump_samples", 82, math.inf),
+    ("workers", 1, MAX_WORKERS),
+    ("grid_points", 2, math.inf),
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ class ExperimentConfig:
     n_ladder (when empty, a kind-specific default) is the sequence of window
     lengths for convergence checks; epsilon / ks_epsilon / eps_sequence are
     truncation levels for the heavy-tailed limit; u_threshold is the
-    mark-split threshold (default n^(-2/3)).
+    mark-split threshold (default min(1, n^(-2/3))).
     """
 
     model: ModelParams
@@ -136,8 +146,11 @@ class ExperimentConfig:
             check_number(name, getattr(self, name), 0, 1, hi_closed=True)
         if self.u_threshold is not None:
             check_number("u_threshold", self.u_threshold, 0, 1)
-        for name, least in _INT_FIELDS:
-            check_number(name, getattr(self, name), least, math.inf, lo_closed=True, integer=True)
+        for name, least, most in _INT_FIELDS:
+            check_number(
+                name, getattr(self, name), least, most,
+                lo_closed=True, hi_closed=most < math.inf, integer=True,
+            )
         if self.model.regime == "gaussian":
             check_number(
                 "grid_points", self.grid_points, 2, MAX_GRID_POINTS,
@@ -149,10 +162,11 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a non-empty path, got {self.out_dir!r}")
 
     def mark_threshold_at(self, n) -> float:
-        """Mark-split threshold at window length n: u_threshold or n^(-2/3)."""
+        """Mark-split threshold at window length n: u_threshold or
+        min(1, n^(-2/3)); below n = 1 every vertex is low-mark."""
         if self.u_threshold is not None:
             return self.u_threshold
-        return float(n) ** (-2.0 / 3.0)
+        return min(1.0, float(n) ** (-2.0 / 3.0))
 
     @property
     def mark_threshold(self) -> float:
@@ -176,12 +190,6 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("eval_times", "n_ladder", "eps_sequence"):
-            out[key] = list(out[key])
-        return out
 
 
 def _entries(name: str, values, lo, hi, **closed) -> tuple:

@@ -22,7 +22,6 @@ from .model import (
     require_stable,
 )
 from .oracles import CovarianceConstants, stable_mean
-from .paths import StepPath
 from .rng import stream_generator
 from .sampler import (
     LimitPointSample,
@@ -191,28 +190,6 @@ class StablePath:
                     f"({lo}, {hi})"
                 )
 
-    def sup_norm_to_step(self, step: StepPath, offset: float = 0.0) -> float:
-        """Exact sup over [0, 1] of |self(t) + offset - step(t)|.
-
-        Between merged event times the difference is linear, so the sup is
-        attained at an endpoint approached from one of its sides; both
-        one-sided values are inspected at every event.
-        """
-        grid = np.union1d(
-            self.breakpoints(),
-            step.times[(step.times >= 0.0) & (step.times <= 1.0)],
-        )
-        a_val = self(grid) + offset
-        a_right = self.right_limit(grid) + offset
-        s_val = step(grid)
-        best = max(
-            float(np.max(np.abs(a_val - s_val))),
-            float(np.max(np.abs(a_right - s_val))),
-        )
-        if len(grid) > 1:
-            best = max(best, float(np.max(np.abs(a_val[1:] - s_val[:-1]))))
-        return best
-
     def sup_norm_to_constant(self, c: float) -> float:
         """Exact sup over [0, 1] of |self(t) - c|."""
         grid = self.breakpoints()
@@ -316,39 +293,6 @@ def epsilon_refinement_study(
                 means[k + 1] - means[k]
             )
     return RefinementReport(eps_sequence=tuple(eps), distances=distances)
-
-
-def coupled_level_paths(
-    params: ModelParams,
-    eps_sequence,
-    cfg: SamplerConfig,
-    stream: int = 0,
-) -> list[StablePathSample]:
-    """One coupled draw of the truncated paths at every level: level k + 1
-    reuses every point of level k and adds its own smaller-jump band."""
-    require_stable(params)
-    eps = [float(e) for e in eps_sequence]
-    thresholds = [limit_jump_threshold(params, e) for e in eps]
-    points = sample_limit_band(
-        params, thresholds[0], np.inf, cfg, stream=stream, tag=0
-    )
-    out = []
-    for k, e in enumerate(eps):
-        if k > 0:
-            points = points.superpose(
-                sample_limit_band(
-                    params, thresholds[k], thresholds[k - 1], cfg, stream=stream, tag=k
-                )
-            )
-        out.append(
-            StablePathSample(
-                points=points,
-                epsilon=e,
-                path=StablePath.from_points(points),
-                mean=stable_mean(params, e),
-            )
-        )
-    return out
 
 
 def stable_band_marginals(

@@ -117,44 +117,9 @@ class Vertex:
         return self.b + self.l
 
 
-@dataclass(frozen=True)
-class Interaction:
-    """An interaction point: position, weight, time."""
-
-    z: float
-    w: float
-    r: float
-
-    def __post_init__(self):
-        if not 0 < self.w <= 1:
-            raise ValueError(
-                f"interaction weight must be in (0, 1], got {self.w}"
-            )
-
-
-def spatial_radius(params: ModelParams, u, w):
-    """Connection radius beta * u**(-gamma) * w**(-gamma_prime).
-
-    Accepts scalars or numpy arrays; strictly decreasing in both weights and
-    always >= beta.
-    """
-    _check_weight(u)
-    _check_weight(w)
-    return params.beta * u ** (-params.gamma) * w ** (-params.gamma_prime)
-
-
-def is_connected(params: ModelParams, v: Vertex, i: Interaction, t: float) -> bool:
-    """Whether vertex and interaction share an edge that is active at time t.
-
-    Requires |x - z| <= spatial_radius(u, w) and b <= r <= t <= b + l.
-    """
-    if abs(v.x - i.z) > spatial_radius(params, v.u, i.w):
-        return False
-    return v.b <= i.r <= t <= v.b + v.l
-
-
 def spatial_nbhd_size(params: ModelParams, u) -> float:
-    """Measure of {(z, w): |x - z| <= radius(u, w), w in (0, 1]}.
+    """Measure of {(z, w): |x - z| <= beta * u**(-gamma) * w**(-gamma_prime),
+    w in (0, 1]}.
 
     Equals (2*beta / (1 - gamma_prime)) * u**(-gamma), independent of x.
     """

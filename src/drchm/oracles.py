@@ -20,39 +20,22 @@ from scipy import integrate
 from .model import ModelParams, require_gaussian, require_stable
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the numeric-integration oracles.
-
-    rel_tolerance applies to the adaptive 1-D integrators; gauss_order is the
-    node count per smooth piece in the composite vectorized rules.
-    """
-
-    rel_tolerance: float = 1e-8
-    max_subdivisions: int = 200
-    gauss_order: int = 48
-
-    def __post_init__(self):
-        if not self.rel_tolerance > 0:
-            raise ValueError("rel_tolerance must be positive")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be at least 10")
-        if self.gauss_order < 4:
-            raise ValueError("gauss_order must be at least 4")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+# Relative tolerance and subdivision limit of the adaptive integrators, and
+# the node count per smooth piece of the composite Gauss-Legendre rules.
+REL_TOLERANCE = 1e-8
+MAX_SUBDIVISIONS = 200
+GAUSS_ORDER = 48
 
 
 # ---------------------------------------------------------------------------
 # quadrature building blocks
 
 
-def quad_1d(f, a, b, cfg: QuadratureConfig = DEFAULT_QUAD, points=None):
+def quad_1d(
+    f, a, b, points=None, *, rel_tolerance=REL_TOLERANCE, limit=MAX_SUBDIVISIONS
+):
     """Adaptive 1-D integral; infinite limits allowed (then without points)."""
-    kwargs = dict(
-        epsabs=1e-13, epsrel=cfg.rel_tolerance, limit=cfg.max_subdivisions
-    )
+    kwargs = dict(epsabs=1e-13, epsrel=rel_tolerance, limit=limit)
     if points is not None and np.isfinite(a) and np.isfinite(b):
         inside = [p for p in points if a < p < b]
         if inside:
@@ -61,7 +44,9 @@ def quad_1d(f, a, b, cfg: QuadratureConfig = DEFAULT_QUAD, points=None):
     return value
 
 
-def improper_power_quad(f, p, cfg: QuadratureConfig = DEFAULT_QUAD, lo=0.0, hi=1.0):
+def improper_power_quad(
+    f, p, lo=0.0, hi=1.0, *, rel_tolerance=REL_TOLERANCE, limit=MAX_SUBDIVISIONS
+):
     """Integral of f over [lo, hi] where f(u) ~ u^{-p} near 0, with p < 1.
 
     The substitution u = v^{1/(1-p)} removes the endpoint singularity.
@@ -70,7 +55,11 @@ def improper_power_quad(f, p, cfg: QuadratureConfig = DEFAULT_QUAD, lo=0.0, hi=1
         raise ValueError(f"singularity order must be < 1, got {p}")
     s = 1.0 / (1.0 - p)
     return quad_1d(
-        lambda v: s * v ** (s - 1.0) * f(v**s), lo ** (1.0 / s), hi ** (1.0 / s), cfg
+        lambda v: s * v ** (s - 1.0) * f(v**s),
+        lo ** (1.0 / s),
+        hi ** (1.0 / s),
+        rel_tolerance=rel_tolerance,
+        limit=limit,
     )
 
 
@@ -102,13 +91,13 @@ def half_line_rule(order: int = 10, cutoff: int = 36):
     return nodes.ravel(), weights.ravel()
 
 
-def log_power_quad(f, cfg: QuadratureConfig = DEFAULT_QUAD, lo=1e-6, hi=1.0):
+def log_power_quad(f, lo=1e-6, hi=1.0):
     """Integral of f over [lo, hi] with lo > 0 via the substitution u = e^x,
     robust for integrands with steep power behavior near lo."""
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     return quad_1d(
-        lambda x: math.exp(x) * f(math.exp(x)), math.log(lo), math.log(hi), cfg
+        lambda x: math.exp(x) * f(math.exp(x)), math.log(lo), math.log(hi)
     )
 
 
@@ -116,7 +105,7 @@ def log_power_quad(f, cfg: QuadratureConfig = DEFAULT_QUAD, lo=1e-6, hi=1.0):
 # spatial integrals
 
 
-def spatial_size_quad(params: ModelParams, u, cfg: QuadratureConfig = DEFAULT_QUAD):
+def spatial_size_quad(params: ModelParams, u):
     """Numeric measure of the interaction set connecting to a vertex of
     weight u: the z-extent is the interval length 2*beta*u^-gamma*w^-gamma',
     integrated over w in (0, 1]."""
@@ -124,27 +113,24 @@ def spatial_size_quad(params: ModelParams, u, cfg: QuadratureConfig = DEFAULT_QU
     def f(w):
         return 2.0 * params.beta * u ** (-params.gamma) * w ** (-params.gamma_prime)
 
-    return improper_power_quad(f, params.gamma_prime, cfg)
+    return improper_power_quad(f, params.gamma_prime)
 
 
-def spatial_moment_quad(
-    params: ModelParams,
-    alpha: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-    u_lo: float = 0.0,
-):
+def spatial_moment_quad(params: ModelParams, alpha: float, u_lo: float = 0.0):
     """Numeric per-unit-length integral of spatial_size(u)**alpha over
     u in [u_lo, 1]; requires alpha*gamma < 1 when u_lo == 0."""
     p = alpha * params.gamma
-    f = lambda u: spatial_size_quad(params, u, cfg) ** alpha
+    f = lambda u: spatial_size_quad(params, u) ** alpha
     if u_lo > 0.0:
-        return log_power_quad(f, cfg, lo=u_lo)
+        return log_power_quad(f, lo=u_lo)
     if not p < 1:
         raise ValueError("alpha * gamma must be < 1 for the full mark range")
-    return improper_power_quad(f, p, cfg)
+    return improper_power_quad(f, p)
 
 
-def window_overlap_profile(params: ModelParams, z, w: float, n: float, order: int = 48):
+def window_overlap_profile(
+    params: ModelParams, z, w: float, n: float, order: int = GAUSS_ORDER
+):
     """g(z, w) = integral over u in (0,1] of |[z - rho, z + rho] ∩ [0, n]|,
     with rho = beta * u^-gamma * w^-gamma'.  Vectorized over z.
 
@@ -187,12 +173,17 @@ def window_overlap_profile(params: ModelParams, z, w: float, n: float, order: in
 def window_pair_spatial_quad(
     params: ModelParams,
     n: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
     power: float = 2.0,
+    *,
+    order: int = GAUSS_ORDER,
+    rel_tolerance: float = REL_TOLERANCE,
+    limit: int = MAX_SUBDIVISIONS,
 ):
     """Numeric integral over (z, w) in R x (0,1] of g(z, w)**power, with g
     the window overlap profile above.  This is the spatial factor of the
-    shared-interaction covariance term at finite window length n."""
+    shared-interaction covariance term at finite window length n.  order is
+    the Gauss node count per panel; rel_tolerance and limit control the
+    adaptive w-integral."""
 
     def z_integral(w):
         c = params.beta * w ** (-params.gamma_prime)
@@ -203,18 +194,21 @@ def window_pair_spatial_quad(
             width *= 2.0
             edges.append(n + width)
         edges = np.asarray(edges)
-        nodes, wts = gl_panel(edges[:-1], edges[1:], cfg.gauss_order)
-        g = window_overlap_profile(
-            params, nodes.ravel(), w, n, cfg.gauss_order
-        ).reshape(nodes.shape)
+        nodes, wts = gl_panel(edges[:-1], edges[1:], order)
+        g = window_overlap_profile(params, nodes.ravel(), w, n, order).reshape(
+            nodes.shape
+        )
         return 2.0 * float(np.sum(wts * g**power))
 
     return improper_power_quad(
-        z_integral, min(power * params.gamma_prime, 0.999), cfg
+        z_integral,
+        min(power * params.gamma_prime, 0.999),
+        rel_tolerance=rel_tolerance,
+        limit=limit,
     )
 
 
-def pair_spatial_limit_quad(params: ModelParams, cfg: QuadratureConfig = DEFAULT_QUAD):
+def pair_spatial_limit_quad(params: ModelParams):
     """Per-unit-length limit of the shared-interaction spatial factor:
     integral over w of (integral over u of 2*rho(u, w) du)^2."""
 
@@ -225,19 +219,16 @@ def pair_spatial_limit_quad(params: ModelParams, cfg: QuadratureConfig = DEFAULT
             * u ** (-params.gamma)
             * w ** (-params.gamma_prime),
             params.gamma,
-            cfg,
         )
 
-    return improper_power_quad(
-        lambda w: inner(w) ** 2, 2.0 * params.gamma_prime, cfg
-    )
+    return improper_power_quad(lambda w: inner(w) ** 2, 2.0 * params.gamma_prime)
 
 
 # ---------------------------------------------------------------------------
 # temporal integrals
 
 
-def temporal_weighted_quad(f, b_hi, l_lo_of_b, cfg: QuadratureConfig = DEFAULT_QUAD):
+def temporal_weighted_quad(f, b_hi, l_lo_of_b, *, rel_tolerance=REL_TOLERANCE):
     """Integral over b in (-inf, b_hi], l in [l_lo(b), inf) of e^-l f(b, l)."""
     value, _ = integrate.dblquad(
         lambda l, b: math.exp(-l) * f(b, l),
@@ -246,12 +237,12 @@ def temporal_weighted_quad(f, b_hi, l_lo_of_b, cfg: QuadratureConfig = DEFAULT_Q
         l_lo_of_b,
         np.inf,
         epsabs=1e-13,
-        epsrel=cfg.rel_tolerance,
+        epsrel=rel_tolerance,
     )
     return value
 
 
-def alive_moment_quad(t1: float, t2: float, k: int, cfg=DEFAULT_QUAD):
+def alive_moment_quad(t1: float, t2: float, k: int):
     """Integral of (t1-b)^a (t2-b)^b over vertices alive on [t1, t2]
     (b <= t1 <= t2 <= b + l), with (a, b) = (1, 0) for k=1, (1, 1) for k=2."""
     if k == 1:
@@ -260,30 +251,27 @@ def alive_moment_quad(t1: float, t2: float, k: int, cfg=DEFAULT_QUAD):
         f = lambda b, l: (t1 - b) * (t2 - b)
     else:
         raise ValueError(f"k must be 1 or 2, got {k}")
-    return temporal_weighted_quad(f, t1, lambda b: t2 - b, cfg)
+    return temporal_weighted_quad(f, t1, lambda b: t2 - b)
 
-def temporal_profile_quad(r: float, t: float, cfg: QuadratureConfig = DEFAULT_QUAD):
+def temporal_profile_quad(r: float, t: float, *, rel_tolerance=REL_TOLERANCE):
     """Numeric intensity mass of vertices for which an interaction at time r
     yields an edge active at t: integral of e^-l over {b <= r, l >= t - b}."""
     if r > t:
         return 0.0
-    return temporal_weighted_quad(lambda b, l: 1.0, r, lambda b: t - b, cfg)
-
-
-def temporal_pair_quad(t1: float, t2: float, cfg: QuadratureConfig = DEFAULT_QUAD):
-    """Integral over r of profile(r, t1) * profile(r, t2) -- the temporal
-    factor of the shared-interaction covariance term."""
-    inner_cfg = QuadratureConfig(
-        rel_tolerance=min(cfg.rel_tolerance, 1e-9),
-        max_subdivisions=cfg.max_subdivisions,
-        gauss_order=cfg.gauss_order,
+    return temporal_weighted_quad(
+        lambda b, l: 1.0, r, lambda b: t - b, rel_tolerance=rel_tolerance
     )
+
+
+def temporal_pair_quad(t1: float, t2: float):
+    """Integral over r of profile(r, t1) * profile(r, t2) -- the temporal
+    factor of the shared-interaction covariance term.  The profiles are
+    integrated to 1e-9, tighter than the outer r-integral."""
     return quad_1d(
-        lambda r: temporal_profile_quad(r, t1, inner_cfg)
-        * temporal_profile_quad(r, t2, inner_cfg),
+        lambda r: temporal_profile_quad(r, t1, rel_tolerance=1e-9)
+        * temporal_profile_quad(r, t2, rel_tolerance=1e-9),
         -np.inf,
         min(t1, t2),
-        cfg,
     )
 
 
@@ -386,9 +374,7 @@ class VarianceTerms:
 
 
 @lru_cache(maxsize=64)
-def oracle_variance_terms(
-    params: ModelParams, t: float, cfg: QuadratureConfig = DEFAULT_QUAD
-) -> VarianceTerms:
+def oracle_variance_terms(params: ModelParams, t: float) -> VarianceTerms:
     """Numeric Var(S_n(t)) at finite window length n, term by term.
 
     Var = int (|N| + |N|^2) d(vertex) + int D(;t)^2 d(interaction), where N
@@ -397,12 +383,12 @@ def oracle_variance_terms(
     term feels the window edges.
     """
     require_gaussian(params)
-    m1 = spatial_moment_quad(params, 1.0, cfg)
-    m2 = spatial_moment_quad(params, 2.0, cfg)
-    t1 = alive_moment_quad(t, t, 1, cfg)
-    t2 = alive_moment_quad(t, t, 2, cfg)
-    pair_s = window_pair_spatial_quad(params, params.n, cfg)
-    pair_t = temporal_pair_quad(t, t, cfg)
+    m1 = spatial_moment_quad(params, 1.0)
+    m2 = spatial_moment_quad(params, 2.0)
+    t1 = alive_moment_quad(t, t, 1)
+    t2 = alive_moment_quad(t, t, 2)
+    pair_s = window_pair_spatial_quad(params, params.n)
+    pair_t = temporal_pair_quad(t, t)
     return VarianceTerms(
         single=params.n * m1 * t1,
         square=params.n * m2 * t2,
@@ -410,11 +396,9 @@ def oracle_variance_terms(
     )
 
 
-def oracle_variance(
-    params: ModelParams, t: float, cfg: QuadratureConfig = DEFAULT_QUAD
-) -> float:
+def oracle_variance(params: ModelParams, t: float) -> float:
     """Numeric Var(S_n(t)); see oracle_variance_terms."""
-    return oracle_variance_terms(params, t, cfg).total
+    return oracle_variance_terms(params, t).total
 
 
 @dataclass(frozen=True)
@@ -433,12 +417,7 @@ class CovarianceOracle:
 
 
 @lru_cache(maxsize=256)
-def oracle_covariance(
-    params: ModelParams,
-    t1: float,
-    t2: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> CovarianceOracle:
+def oracle_covariance(params: ModelParams, t1: float, t2: float) -> CovarianceOracle:
     """Numeric n -> infinity limit of Cov(Sbar_n(t1), Sbar_n(t2)).
 
     Each of the three Poisson-case terms is a product of a per-unit-length
@@ -448,27 +427,19 @@ def oracle_covariance(
     require_gaussian(params)
     if t2 < t1:
         t1, t2 = t2, t1
-    m1 = spatial_moment_quad(params, 1.0, cfg)
-    m2 = spatial_moment_quad(params, 2.0, cfg)
-    pair_s = pair_spatial_limit_quad(params, cfg)
+    m1 = spatial_moment_quad(params, 1.0)
+    m2 = spatial_moment_quad(params, 2.0)
+    pair_s = pair_spatial_limit_quad(params)
     return CovarianceOracle(
-        joint=m1 * alive_moment_quad(t1, t2, 1, cfg),
-        vertex=m2 * alive_moment_quad(t1, t2, 2, cfg),
-        interaction=pair_s * temporal_pair_quad(t1, t2, cfg),
+        joint=m1 * alive_moment_quad(t1, t2, 1),
+        vertex=m2 * alive_moment_quad(t1, t2, 2),
+        interaction=pair_s * temporal_pair_quad(t1, t2),
         printed=printed_covariance(params, t2 - t1),
     )
 
 
 # ---------------------------------------------------------------------------
 # stable-regime oracles
-
-
-def jump_tail_mass(params: ModelParams, a: float) -> float:
-    """Intensity mass of limiting jump sizes >= a."""
-    require_stable(params)
-    if not a > 0:
-        raise ValueError(f"jump threshold must be positive, got {a}")
-    return params.c_tilde ** (1.0 / params.gamma) * a ** (-1.0 / params.gamma)
 
 
 def stable_mean(params: ModelParams, epsilon: float) -> float:
@@ -490,19 +461,15 @@ def stable_mean(params: ModelParams, epsilon: float) -> float:
     )
 
 
-def stable_mean_quad(
-    params: ModelParams, epsilon: float, cfg: QuadratureConfig = DEFAULT_QUAD
-) -> float:
+def stable_mean_quad(params: ModelParams, epsilon: float) -> float:
     """Numeric twin of stable_mean: j-integral against the jump intensity
     density times the numeric mean temporal factor."""
     require_stable(params)
     g = params.gamma
     a = params.c_tilde * epsilon**g
     density = lambda j: params.c_tilde ** (1.0 / g) / g * j ** (-1.0 / g - 1.0)
-    jmass = quad_1d(lambda j: j * density(j), a, np.inf, cfg)
-    temporal = temporal_weighted_quad(
-        lambda b, l: 0.5 - b, 0.5, lambda b: 0.5 - b, cfg
-    )
+    jmass = quad_1d(lambda j: j * density(j), a, np.inf)
+    temporal = temporal_weighted_quad(lambda b, l: 0.5 - b, 0.5, lambda b: 0.5 - b)
     return jmass * temporal
 
 
@@ -530,19 +497,12 @@ def stable_band_variance(params: ModelParams, eps_hi: float, eps_lo: float) -> f
     )
 
 
-def stable_band_variance_quad(
-    params: ModelParams,
-    eps_hi: float,
-    eps_lo: float,
-    cfg: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def stable_band_variance_quad(params: ModelParams, eps_hi: float, eps_lo: float) -> float:
     """Numeric twin of stable_band_variance."""
     require_stable(params)
     g = params.gamma
     density = lambda j: params.c_tilde ** (1.0 / g) / g * j ** (-1.0 / g - 1.0)
-    jmass = quad_1d(lambda j: j * j * density(j), eps_lo, eps_hi, cfg)
+    jmass = quad_1d(lambda j: j * j * density(j), eps_lo, eps_hi)
     t = 0.5
-    temporal = temporal_weighted_quad(
-        lambda b, l: (t - b) ** 2, t, lambda b: t - b, cfg
-    )
+    temporal = temporal_weighted_quad(lambda b, l: (t - b) ** 2, t, lambda b: t - b)
     return jmass * temporal

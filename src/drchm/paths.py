@@ -329,25 +329,3 @@ def _subset(edges: EdgeSet, mask: np.ndarray) -> EdgeSet:
         deactivation=edges.deactivation[mask],
     )
 
-
-def normalize_path(path: StepPath, expectation, scale: float) -> StepPath:
-    """(path(t) - expectation(t)) / scale as a step path.
-
-    expectation may be a constant or a callable of t; a callable is sampled
-    at the path's own event times (exact for piecewise-constant means).
-    """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    mean = (
-        np.asarray([expectation(t) for t in path.times], dtype=float)
-        if callable(expectation)
-        else float(expectation)
-    )
-    return StepPath(path.times.copy(), (path.values - mean) / scale)
-
-
-def sup_norm_distance(a: StepPath, b: StepPath) -> float:
-    """Exact sup over [0, 1] of |a(t) - b(t)| for step paths."""
-    grid = np.union1d(a.times, b.times)
-    grid = grid[(grid >= 0.0) & (grid <= 1.0)]
-    return float(np.max(np.abs(a(grid) - b(grid))))

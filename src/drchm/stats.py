@@ -7,7 +7,6 @@ bands can be stated as multiples of the SE.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,78 +56,21 @@ def mean_variance(samples) -> dict:
 
 @dataclass
 class MomentSummary:
-    """First four standardized moments of a replicate ensemble with
-    delete-one jackknife standard errors."""
+    """Count, mean and variance of a replicate ensemble with their standard
+    errors, as computed by mean_variance; needs at least two samples."""
 
     count: int
     mean: float
     variance: float
-    skewness: float
-    excess_kurtosis: float
     mean_se: float
     variance_se: float
-    skewness_se: float
-    excess_kurtosis_se: float
 
     @classmethod
     def from_samples(cls, samples) -> "MomentSummary":
-        x = np.asarray(samples, dtype=float)
-        n = len(x)
-        if n < 2:
-            raise ValueError(f"need at least 2 samples, got {n}")
-        mv = mean_variance(x)
-        dx = x - mv["mean"]
-        m2 = float(np.mean(dx**2))
-        m3 = float(np.mean(dx**3))
-        m4 = float(np.mean(dx**4))
-        if m2 > 0:
-            skewness = m3 / m2**1.5
-            kurtosis = m4 / m2**2 - 3.0
-        else:
-            skewness = float("nan")
-            kurtosis = float("nan")
-
-        # delete-one moments from power sums, vectorized
-        s1, s2, s3, s4 = (float(np.sum(x**k)) for k in (1, 2, 3, 4))
-        m = n - 1
-        mu = (s1 - x) / m
-        c2 = (s2 - x**2) / m - mu**2
-        c3 = (s3 - x**3) / m - 3.0 * mu * (s2 - x**2) / m + 2.0 * mu**3
-        c4 = (
-            (s4 - x**4) / m
-            - 4.0 * mu * (s3 - x**3) / m
-            + 6.0 * mu**2 * (s2 - x**2) / m
-            - 3.0 * mu**4
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            skew_i = c3 / c2**1.5
-            kurt_i = c4 / c2**2 - 3.0
-        return cls(
-            count=n,
-            mean=mv["mean"],
-            variance=mv["variance"],
-            skewness=skewness,
-            excess_kurtosis=kurtosis,
-            mean_se=mv["mean_se"],
-            variance_se=mv["variance_se"],
-            skewness_se=_jackknife_se(skew_i) if m2 > 0 else float("nan"),
-            excess_kurtosis_se=_jackknife_se(kurt_i) if m2 > 0 else float("nan"),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "count": self.count,
-                "mean": self.mean,
-                "variance": self.variance,
-                "skewness": self.skewness,
-                "excess_kurtosis": self.excess_kurtosis,
-                "mean_se": self.mean_se,
-                "variance_se": self.variance_se,
-                "skewness_se": self.skewness_se,
-                "excess_kurtosis_se": self.excess_kurtosis_se,
-            }
-        )
+        mv = mean_variance(samples)
+        if mv["count"] < 2:
+            raise ValueError(f"need at least 2 samples, got {mv['count']}")
+        return cls(**mv)
 
 
 def cross_covariance(samples_a, samples_b) -> tuple[float, float]:

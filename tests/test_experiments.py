@@ -1,5 +1,6 @@
 """Configuration parsing, experiment runners, determinism, and the CLI."""
 
+import dataclasses
 import json
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 from drchm.catalog import CatalogRecord
 from drchm.cli import main
 from drchm.experiments import (
+    MAX_WORKERS,
     ExperimentConfig,
     _simulate_one,
     edge_count_ensemble,
@@ -48,7 +50,7 @@ class TestConfigParsing:
         assert cfg.sampler.master_seed == 1
         assert cfg.eval_times == (0.25, 0.5, 0.75)
         back = ExperimentConfig.from_dict(
-            json.loads(json.dumps(cfg.to_dict()))
+            json.loads(json.dumps(dataclasses.asdict(cfg)))
         )
         assert back == cfg
 
@@ -457,6 +459,7 @@ class TestCLI:
             ("simulate", {"eps_sequence": ["0.1", "0.05"]}),
             ("simulate", {"write_paths": "x"}),
             ("simulate", {"write_paths": 0}),
+            ("simulate", {"workers": MAX_WORKERS + 1}),
         ],
     )
     def test_fields_checked_at_the_boundary_exit_two(self, tmp_path, capsys, kind, overrides):
@@ -471,6 +474,32 @@ class TestCLI:
         cfg = self._write(tmp_path, _base_config())
         assert main(["simulate", "--config", cfg, "--seed", "-1"]) == 2
         assert "master_seed" in capsys.readouterr().err
+
+    def test_workers_flag_over_cap_exit_two(self, tmp_path, capsys):
+        # refused while the config is read, before any worker pool starts
+        cfg = self._write(tmp_path, _base_config())
+        argv = ["simulate", "--config", cfg, "--workers", str(MAX_WORKERS + 1)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: workers") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("validate-marks", {"model": {**_base_config()["model"], "n": 0.5}}),
+            (
+                "validate-stable",
+                _stable(
+                    n_ladder=[0.5, 1.0], jump_samples=100, epsilon=0.1,
+                    ks_epsilon=0.1, eps_sequence=[0.1, 0.05],
+                ),
+            ),
+        ],
+    )
+    def test_window_below_one_exit_zero(self, tmp_path, kind, overrides):
+        # the default mark threshold n^(-2/3) is capped at 1 for n < 1
+        cfg = self._write(tmp_path, _base_config(kind=kind, replicates=3, **overrides))
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

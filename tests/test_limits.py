@@ -7,7 +7,6 @@ from drchm.experiments import _write_grid_csv
 from drchm.limits import (
     GaussianGrid,
     StablePath,
-    coupled_level_paths,
     epsilon_refinement_study,
     sample_gaussian_path,
     sample_stable_path,
@@ -20,8 +19,7 @@ from drchm.oracles import (
     stable_band_variance,
     stable_mean,
 )
-from drchm.paths import StepPath
-from drchm.sampler import SamplerConfig, limit_jump_threshold
+from drchm.sampler import SamplerConfig, limit_jump_threshold, sample_limit_band
 from drchm.stats import cross_covariance
 
 
@@ -108,16 +106,6 @@ class TestStablePath:
         assert path.sup_norm_to_constant(0.0) == pytest.approx(1.0)
         assert path.sup_norm_to_constant(0.4) == pytest.approx(0.6)
 
-    def test_sup_norm_to_step_matches_dense_grid(self, params_s):
-        cfg = SamplerConfig(master_seed=5)
-        sample = sample_stable_path(params_s, 0.2, cfg, 0)
-        step = StepPath(np.array([0.0, 0.3, 0.7]), np.array([1.0, 4.0, 2.0]))
-        exact = sample.path.sup_norm_to_step(step)
-        dense = np.linspace(0, 1, 200_001)
-        approx = float(np.max(np.abs(sample.path(dense) - step(dense))))
-        assert exact >= approx - 1e-9
-        assert exact == pytest.approx(approx, abs=1e-3)
-
     def test_csv_output(self, params_s, tmp_path):
         cfg = SamplerConfig(master_seed=6)
         sample = sample_stable_path(params_s, 0.2, cfg, 0)
@@ -182,12 +170,35 @@ class TestRefinement:
             epsilon_refinement_study(params_g, (0.1, 0.05), 10, cfg)
 
     def test_coupling_is_nested(self, params_s):
-        # each refinement level keeps every point of the coarser level
+        # The study's distances[r, k] equal the sup over [0, 1] of the
+        # difference of the centered levels k + 1 and k, where each level
+        # superposes onto the coarser one the band the study draws for it
+        # (same stream, tag k + 1).  The difference is linear between the
+        # finer level's breakpoints, so values and right limits there suffice.
         cfg = SamplerConfig(master_seed=12)
-        levels = coupled_level_paths(params_s, (0.1, 0.05, 0.025), cfg, stream=3)
-        for coarse, fine in zip(levels[:-1], levels[1:]):
-            coarse_pts = set(zip(coarse.points.j, coarse.points.b, coarse.points.l))
-            fine_pts = set(zip(fine.points.j, fine.points.b, fine.points.l))
-            assert coarse_pts <= fine_pts
-            thr = limit_jump_threshold(params_s, fine.epsilon)
-            assert np.all(fine.points.j >= thr)
+        eps, stream, reps = (0.1, 0.05, 0.025), 3, 3
+        report = epsilon_refinement_study(params_s, eps, reps, cfg, stream=stream)
+        thr = [limit_jump_threshold(params_s, e) for e in eps]
+        means = [stable_mean(params_s, e) for e in eps]
+        for rep in range(reps):
+            coarse = sample_limit_band(params_s, thr[0], np.inf, cfg, stream=stream + rep, tag=0)
+            for k in range(len(eps) - 1):
+                fine = coarse.superpose(
+                    sample_limit_band(
+                        params_s, thr[k + 1], thr[k], cfg, stream=stream + rep, tag=k + 1
+                    )
+                )
+                assert np.all(fine.j >= thr[k + 1])
+                a, b = StablePath.from_points(coarse), StablePath.from_points(fine)
+                grid = b.breakpoints()
+                sup = max(
+                    np.max(np.abs((b(grid) - means[k + 1]) - (a(grid) - means[k]))),
+                    np.max(
+                        np.abs(
+                            (b.right_limit(grid) - means[k + 1])
+                            - (a.right_limit(grid) - means[k])
+                        )
+                    ),
+                )
+                assert report.distances[rep, k] == pytest.approx(sup, rel=1e-9, abs=1e-9)
+                coarse = fine

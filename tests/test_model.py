@@ -1,19 +1,16 @@
-"""Parameter validation, connection geometry, and regime guards."""
+"""Parameter validation, neighborhood geometry, and regime guards."""
 
 import numpy as np
 import pytest
 
 from drchm.model import (
-    Interaction,
     ModelParams,
     RegimeError,
     Vertex,
-    is_connected,
     pm_temporal_nbhd_size,
     require_gaussian,
     require_stable,
     spatial_nbhd_size,
-    spatial_radius,
     temporal_nbhd_size,
 )
 
@@ -67,42 +64,19 @@ class TestPoints:
         with pytest.raises(ValueError):
             Vertex(x=0.0, u=0.5, b=0.0, l=0.0)
 
-    def test_interaction_validation(self):
-        with pytest.raises(ValueError):
-            Interaction(z=0.0, w=0.0, r=0.5)
-        Interaction(z=0.0, w=1.0, r=0.5)
-
 
 class TestGeometry:
-    def test_radius_at_unit_weights(self, params_g):
-        assert spatial_radius(params_g, 1.0, 1.0) == pytest.approx(params_g.beta)
-
-    def test_radius_monotone_in_weights(self, params_g):
-        u = np.array([0.1, 0.5, 1.0])
-        r = spatial_radius(params_g, u, 1.0)
-        assert np.all(np.diff(r) < 0)
-        assert np.all(r >= params_g.beta)
-
-    def test_radius_rejects_nonpositive(self, params_g):
+    def test_nbhd_size_rejects_nonpositive(self, params_g):
         with pytest.raises(ValueError):
-            spatial_radius(params_g, 0.0, 1.0)
+            spatial_nbhd_size(params_g, 0.0)
 
     def test_nbhd_size_closed_form(self, params_g):
         # c_tilde * u^-gamma, checked against a direct Riemann sum over w
         u = 0.3
         w = np.linspace(1e-7, 1.0, 2_000_001)
-        riemann = 2.0 * np.mean(spatial_radius(params_g, u, w))
+        radius = params_g.beta * u ** (-params_g.gamma) * w ** (-params_g.gamma_prime)
+        riemann = 2.0 * np.mean(radius)
         assert spatial_nbhd_size(params_g, u) == pytest.approx(riemann, rel=1e-3)
-
-    def test_is_connected_examples(self, params_g):
-        v = Vertex(x=0.0, u=1.0, b=0.0, l=1.0)
-        hit = Interaction(z=0.2, w=1.0, r=0.5)
-        assert is_connected(params_g, v, hit, 0.7)
-        assert not is_connected(params_g, v, hit, 0.3)  # before r
-        far = Interaction(z=0.3, w=1.0, r=0.5)
-        assert not is_connected(params_g, v, far, 0.7)
-        late = Interaction(z=0.2, w=1.0, r=1.5)
-        assert not is_connected(params_g, v, late, 1.0)
 
 
 class TestTemporal:

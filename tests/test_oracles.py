@@ -11,7 +11,6 @@ from drchm.oracles import (
     adjudicated_constants,
     half_line_rule,
     improper_power_quad,
-    jump_tail_mass,
     log_power_quad,
     mean_edge_count,
     oracle_covariance,
@@ -27,7 +26,7 @@ from drchm.oracles import (
     stable_mean,
     stable_mean_quad,
 )
-from drchm.sampler import limit_jump_threshold
+from drchm.sampler import _nu_tail, limit_jump_threshold
 
 
 class TestQuadrature:
@@ -156,7 +155,7 @@ class TestStableOracles:
         # mass above the eps-threshold is exactly 1/eps
         for eps in (1.0, 0.1, 0.01):
             thr = limit_jump_threshold(params_s, eps)
-            assert jump_tail_mass(params_s, thr) == pytest.approx(1.0 / eps)
+            assert _nu_tail(params_s, thr) == pytest.approx(1.0 / eps)
 
     def test_stable_mean_frozen(self, params_s):
         assert stable_mean(params_s, 0.01) == pytest.approx(8.293899386531193)

@@ -15,9 +15,7 @@ from drchm.paths import (
     edge_count_path_at,
     mark_split_marginals,
     mark_split_paths,
-    normalize_path,
     pm_edge_count_paths,
-    sup_norm_distance,
 )
 from drchm.sampler import (
     InteractionSample,
@@ -401,25 +399,3 @@ class TestCountOnlyMarginals:
         low, _ = mark_split_paths(edges, vs, 0.5)
         assert np.all(low_at == low(t))
 
-
-class TestNormalizeAndDistance:
-    def test_normalize_constant(self):
-        path = StepPath(np.array([0.0, 0.5]), np.array([3.0, 5.0]))
-        out = normalize_path(path, 3.0, 2.0)
-        np.testing.assert_allclose(out.values, [0.0, 1.0])
-
-    def test_normalize_callable(self):
-        path = StepPath(np.array([0.0, 0.5]), np.array([3.0, 5.0]))
-        out = normalize_path(path, lambda t: 2.0 + 2.0 * (t >= 0.5), 1.0)
-        np.testing.assert_allclose(out.values, [1.0, 1.0])
-
-    def test_normalize_rejects_bad_scale(self):
-        path = StepPath.constant(1.0)
-        with pytest.raises(ValueError):
-            normalize_path(path, 0.0, 0.0)
-
-    def test_sup_norm(self):
-        a = StepPath(np.array([0.0, 0.5]), np.array([1.0, 4.0]))
-        b = StepPath(np.array([0.0, 0.25]), np.array([2.0, 2.0]))
-        assert sup_norm_distance(a, b) == pytest.approx(2.0)
-        assert sup_norm_distance(a, a) == 0.0

@@ -35,14 +35,7 @@ class TestMomentSummary:
         a = MomentSummary.from_samples(x)
         b = MomentSummary.from_samples(x[::-1])
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
-        assert a.skewness == pytest.approx(b.skewness, rel=1e-12)
         assert a.variance_se == pytest.approx(b.variance_se, rel=1e-12)
-
-    def test_json_round_trip(self):
-        import json
-
-        s = MomentSummary.from_samples(np.arange(10.0))
-        assert json.loads(s.to_json())["count"] == 10
 
     def test_se_scaling(self):
         # SEs shrink like 1/sqrt(count): log-log slope in [-0.55, -0.45]
