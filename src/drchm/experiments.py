@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import lemma_catalog_check, strict_json, write_catalog_jsonl
+from .catalog import lemma_catalog_check
 from .limits import (
     MAX_GRID_POINTS,
     GaussianGrid,
@@ -92,7 +92,7 @@ _INT_FIELDS = (
     ("replicates", 1, math.inf),
     ("jump_samples", 82, math.inf),
     ("workers", 1, MAX_WORKERS),
-    ("grid_points", 2, math.inf),
+    ("grid_points", 2, MAX_GRID_POINTS),
 )
 
 
@@ -150,11 +150,6 @@ class ExperimentConfig:
             check_number(
                 name, getattr(self, name), least, most,
                 lo_closed=True, hi_closed=most < math.inf, integer=True,
-            )
-        if self.model.regime == "gaussian":
-            check_number(
-                "grid_points", self.grid_points, 2, MAX_GRID_POINTS,
-                lo_closed=True, hi_closed=True, integer=True,
             )
         if not isinstance(self.write_paths, bool):
             raise ValueError(f"write_paths must be true or false, got {self.write_paths!r}")
@@ -318,6 +313,22 @@ def write_jsonl(path, records) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(strict_json(rec) + "\n")
+
+
+def strict_json(record) -> str:
+    """json.dumps with every non-finite float written as null, so the text
+    is strict JSON (no NaN or Infinity tokens)."""
+    return json.dumps(_finite_or_null(record), allow_nan=False)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _outputs(cfg: ExperimentConfig, *names) -> list[str]:
@@ -667,7 +678,9 @@ def run_oracle_report(cfg: ExperimentConfig) -> dict:
     """Lemma-catalog verification plus the covariance-constant adjudication."""
     report, catalog_path = _outputs(cfg, "oracle_report.jsonl", "lemma_catalog.jsonl")
     catalog = lemma_catalog_check(master_seed=cfg.sampler.master_seed)
-    write_catalog_jsonl(catalog, catalog_path)
+    write_jsonl(
+        catalog_path, [{**dataclasses.asdict(r), "passed": r.passed} for r in catalog]
+    )
 
     records = []
     p = cfg.model

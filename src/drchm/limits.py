@@ -21,7 +21,7 @@ from .model import (
     require_gaussian,
     require_stable,
 )
-from .oracles import CovarianceConstants, stable_mean
+from .oracles import adjudicated_constants, stable_mean
 from .rng import stream_generator
 from .sampler import (
     LimitPointSample,
@@ -55,13 +55,9 @@ class GaussianGrid:
     jitter: float
 
     @classmethod
-    def build(
-        cls,
-        params: ModelParams,
-        times,
-        constants: CovarianceConstants | None = None,
-    ) -> "GaussianGrid":
-        """Build the grid, factorizing K[i][j] = K(|t_i - t_j|).
+    def build(cls, params: ModelParams, times) -> "GaussianGrid":
+        """Build the grid, factorizing K[i][j] = K(|t_i - t_j|) with the
+        adjudicated constant set, the one that matches the integral oracle.
 
         A diagonal jitter of at most JITTER_BUDGET times the mean diagonal
         entry may be applied (and is recorded) when plain Cholesky fails.
@@ -77,11 +73,9 @@ class GaussianGrid:
             raise ValueError("grid times must be strictly increasing")
         if times[0] < 0.0 or times[-1] > 1.0:
             raise ValueError("grid times must lie in [0, 1]")
-        if constants is None:
-            require_gaussian(params)
-            constants = CovarianceConstants.from_params(params)
+        require_gaussian(params)
         lags = np.abs(times[:, None] - times[None, :])
-        matrix = np.asarray(constants.covariance(lags), dtype=float)
+        matrix = np.asarray(adjudicated_constants(params).covariance(lags), dtype=float)
 
         budget = JITTER_BUDGET * float(np.trace(matrix)) / len(times)
         for jitter in (0.0, budget * 1e-6, budget * 1e-4, budget * 1e-2, budget):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from drchm import experiments
 from drchm.catalog import CatalogRecord
 from drchm.cli import main
 from drchm.experiments import (
@@ -193,9 +194,18 @@ class TestStrictJson:
         for line in text.splitlines():
             json.loads(line, parse_constant=self._reject)
 
-    def test_catalog_record_is_strict_json(self):
+    def test_catalog_record_is_strict_json(self, tmp_path, monkeypatch):
         rec = CatalogRecord("L", "equality", 3, float("nan"), 0)
-        assert json.loads(rec.to_json(), parse_constant=self._reject)["max_rel_err"] is None
+        monkeypatch.setattr(experiments, "lemma_catalog_check", lambda master_seed: [rec])
+        cfg = ExperimentConfig.from_dict(
+            _base_config(kind="oracle-report", out_dir=str(tmp_path), **_stable())
+        )
+        with open(run_experiment(cfg)["catalog"]) as fh:
+            line = fh.read()
+        assert json.loads(line, parse_constant=self._reject) == {
+            "lemma_id": "L", "kind": "equality", "draws": 3,
+            "max_rel_err": None, "bound_violations": 0, "passed": False,
+        }
 
 
 class TestEnsemble:
@@ -460,6 +470,7 @@ class TestCLI:
             ("simulate", {"write_paths": "x"}),
             ("simulate", {"write_paths": 0}),
             ("simulate", {"workers": MAX_WORKERS + 1}),
+            ("sample-limit", _stable(grid_points=513)),
         ],
     )
     def test_fields_checked_at_the_boundary_exit_two(self, tmp_path, capsys, kind, overrides):

@@ -65,11 +65,13 @@ class TestGaussianGrid:
                 cov, se = cross_covariance(draws[:, i], draws[:, j])
                 assert abs(cov - grid.covariance_matrix[i, j]) <= 4 * se
 
-    def test_custom_constants(self, params_g):
-        grid = GaussianGrid.build(
-            params_g, [0.0, 0.5], constants=adjudicated_constants(params_g)
-        )
+    def test_builds_from_adjudicated_constants(self, params_g):
+        # the printed constant set gives K(0) = 2.734 here
+        grid = GaussianGrid.build(params_g, [0.0, 0.5])
         assert grid.covariance_matrix[0, 0] == pytest.approx(2.408854166666666)
+        lags = np.array([[0.0, 0.5], [0.5, 0.0]])
+        expected = adjudicated_constants(params_g).covariance(lags)
+        np.testing.assert_array_equal(grid.covariance_matrix, expected)
 
 
 class TestStablePath:
