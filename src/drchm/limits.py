@@ -195,11 +195,10 @@ class StablePath:
 
 @dataclass
 class StablePathSample:
-    """A truncated-limit path together with its truncation level and the
-    exact mean used for centering."""
+    """A truncated-limit path together with its points and the exact mean
+    used for centering."""
 
     points: LimitPointSample
-    epsilon: float
     path: StablePath
     mean: float
 
@@ -219,7 +218,6 @@ def sample_stable_path(
     path.validate_slopes()
     return StablePathSample(
         points=points,
-        epsilon=epsilon,
         path=path,
         mean=stable_mean(params, epsilon),
     )

@@ -21,6 +21,11 @@ from dataclasses import dataclass
 # a float near beta = 1e137; the cap keeps them finite with room to spare.
 MAX_BETA = 1e100
 
+# Smallest connection scale.  Near beta = 1e-250 the jump measure's tail
+# c_tilde**(1/gamma) * a**(-1/gamma) underflows its first factor and
+# overflows its second; the floor keeps both finite with room to spare.
+MIN_BETA = 1e-100
+
 
 def check_number(name, value, lo, hi, *, lo_closed=False, hi_closed=False, integer=False):
     """The one rule for a numeric config field: value must be a real number
@@ -79,7 +84,7 @@ class ModelParams:
     n: float
 
     def __post_init__(self):
-        check_number("beta", self.beta, 0, MAX_BETA, hi_closed=True)
+        check_number("beta", self.beta, MIN_BETA, MAX_BETA, lo_closed=True, hi_closed=True)
         check_number("gamma", self.gamma, 0, 1)
         if self.gamma == 0.5:
             raise ValueError("gamma = 1/2 is not covered by either regime")

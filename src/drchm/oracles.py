@@ -403,13 +403,12 @@ def oracle_variance(params: ModelParams, t: float) -> float:
 
 @dataclass(frozen=True)
 class CovarianceOracle:
-    """Limiting covariance of the normalized edge count at two times,
-    with the circulating closed form carried alongside for comparison."""
+    """Limiting covariance of the normalized edge count at two times, as
+    its three Poisson-case terms."""
 
     joint: float  # same vertex and same interaction at both times
     vertex: float  # same vertex, distinct interactions
     interaction: float  # distinct vertices sharing one interaction
-    printed: float
 
     @property
     def oracle(self) -> float:
@@ -422,7 +421,6 @@ def oracle_covariance(params: ModelParams, t1: float, t2: float) -> CovarianceOr
 
     Each of the three Poisson-case terms is a product of a per-unit-length
     spatial integral and a temporal integral, both evaluated numerically.
-    The .printed field carries the closed form (c1 + c3 + c2(2+h))e^-h.
     """
     require_gaussian(params)
     if t2 < t1:
@@ -434,7 +432,6 @@ def oracle_covariance(params: ModelParams, t1: float, t2: float) -> CovarianceOr
         joint=m1 * alive_moment_quad(t1, t2, 1),
         vertex=m2 * alive_moment_quad(t1, t2, 2),
         interaction=pair_s * temporal_pair_quad(t1, t2),
-        printed=printed_covariance(params, t2 - t1),
     )
 
 

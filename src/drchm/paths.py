@@ -89,67 +89,54 @@ def build_edges(
 
     The vertices are sorted by position once, and each vertex's radius
     factor beta * u**(-gamma) and each interaction's w**(-gamma_prime) are
-    computed once.  The interactions are grouped by band label with one
-    stable sort (labels need not be contiguous) and sorted by position
-    within each band.  Within a band every radius is at most the vertex's
-    radius against the band's smallest weight (``band_w_lo``, or the
-    smallest realized weight when that is empty), so two sorted range
-    queries per band, with the vertices' positions as sorted query centres,
-    yield every candidate pair.  The exact predicate alone decides which
-    candidates are edges, so the edge set does not depend on the vertex
-    order or on the band partition; only the order of the returned edges
-    does.
+    computed once.  The interactions arrive band after band (band_counts),
+    and one band is paired at a time: within a band every radius is at most
+    the vertex's radius against the band's lower weight edge band_w_lo, so
+    after sorting the band by position, two sorted range queries with the
+    vertices' positions as sorted query centres yield every candidate pair.
+    The exact predicate alone decides which candidates are edges, so the
+    edge set does not depend on the vertex order or on the band partition;
+    only the order of the returned edges (band, then vertex position, then
+    interaction position) does.
     """
     if len(vs) == 0 or len(interactions) == 0:
         return _no_edges()
 
-    # Vertex arrays in position order, interaction arrays in grouped order.
     v_order = np.argsort(vs.x)
     x = vs.x[v_order]
     v_radius = params.beta * vs.u[v_order] ** (-params.gamma)
-    by_band = np.argsort(interactions.band, kind="stable")
-    labels = interactions.band[by_band]
-    starts = np.flatnonzero(np.append(True, labels[1:] != labels[:-1]))
-    ends = np.append(starts[1:], len(labels))
-    lo_parts, count_parts = [], []
-    for s, e in zip(starts, ends):
-        group = by_band[s:e]
-        group = group[np.argsort(interactions.z[group])]
-        by_band[s:e] = group
-        z_band = interactions.z[group]
-        w_lo = (
-            float(interactions.band_w_lo[labels[s]])
-            if len(interactions.band_w_lo)
-            else float(interactions.w[group].min())
-        )
-        reach = v_radius * w_lo ** (-params.gamma_prime)
-        lo = np.searchsorted(z_band, x - reach, side="left")
-        hi = np.searchsorted(z_band, x + reach, side="right")
-        lo_parts.append(lo + s)
-        count_parts.append(hi - lo)
-    z = interactions.z[by_band]
-    counts = np.concatenate(count_parts)
-    total = int(counts.sum())
-    if total == 0:
-        return _no_edges()
-
-    # Candidate k of query q sits at position lo[q] + k of the grouped order.
-    vrep = np.repeat(np.tile(np.arange(len(vs)), len(starts)), counts)
-    shift = np.concatenate(lo_parts) - (np.cumsum(counts) - counts)
-    pos = np.arange(total) + np.repeat(shift, counts)
-    # The exact predicate; the cheaper time test runs first and thins the
-    # candidates before the spatial test.
-    r = interactions.r[by_band][pos]
+    birth = vs.b[v_order]
     death = vs.death[v_order]
-    alive = (vs.b[v_order][vrep] <= r) & (r <= death[vrep])
-    vrep, pos, r = vrep[alive], pos[alive], r[alive]
-    w_factor = interactions.w[by_band] ** (-params.gamma_prime)
-    near = np.abs(x[vrep] - z[pos]) <= v_radius[vrep] * w_factor[pos]
-    vrep, pos = vrep[near], pos[near]
+    w_factor = interactions.w ** (-params.gamma_prime)
+    parts = []
+    end = 0
+    bands = zip(interactions.band_counts.tolist(), interactions.band_w_lo.tolist())
+    for count, w_lo in bands:
+        start, end = end, end + count
+        if count == 0:
+            continue
+        order = start + np.argsort(interactions.z[start:end])
+        z = interactions.z[order]
+        reach = v_radius * w_lo ** (-params.gamma_prime)
+        lo = np.searchsorted(z, x - reach, side="left")
+        hi = np.searchsorted(z, x + reach, side="right")
+        # Candidate k of vertex q is the band's (lo[q] + k)-th by position.
+        counts = hi - lo
+        vrep = np.repeat(np.arange(len(vs)), counts)
+        shift = lo - (np.cumsum(counts) - counts)
+        idx = order[np.arange(len(vrep)) + np.repeat(shift, counts)]
+        # The exact predicate; the cheaper time test runs first and thins
+        # the candidates before the spatial test.
+        r = interactions.r[idx]
+        alive = (birth[vrep] <= r) & (r <= death[vrep])
+        vrep, idx, r = vrep[alive], idx[alive], r[alive]
+        near = np.abs(x[vrep] - interactions.z[idx]) <= v_radius[vrep] * w_factor[idx]
+        parts.append((vrep[near], idx[near], r[near]))
+    vrep, idx, r = (np.concatenate(arrays) for arrays in zip(*parts))
     return EdgeSet(
         vertex_index=v_order[vrep],
-        interaction_index=by_band[pos],
-        activation=r[near],
+        interaction_index=idx,
+        activation=r,
         deactivation=death[vrep],
     )
 

@@ -11,15 +11,16 @@ component with the same function (_alive_at_zero, _born_in_horizon).
 
 Interactions have unbounded connection radii as their weight w approaches 0,
 so a finite sample truncates at w >= w_min.  The truncation is organised in
-geometric weight bands; each band is sampled on a spatial domain wide enough
-to cover every radius that band can produce against the realized vertex
-sample.  The expected number of edges lost below w_min is available in closed
-form conditional on the vertices and is checked against a tolerance.
+dyadic weight bands, and the interactions come out band after band; each
+band is sampled on a spatial domain wide enough to cover every radius that
+band can produce against the realized vertex sample.  The expected number
+of edges lost below w_min is available in closed form conditional on the
+vertices and is checked against a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,20 +37,16 @@ class SamplerConfig:
     missed_edge_tolerance
         Upper bound accepted for the expected number of edges lost to the
         cutoff (conditional on the realized vertex sample).
-    band_ratio
-        Geometric ratio of consecutive weight-band edges (default dyadic).
     """
 
     master_seed: int = 0
     w_min: float = 1e-5
     missed_edge_tolerance: float = 1.0
-    band_ratio: float = 0.5
 
     def __post_init__(self):
         check_number("master_seed", self.master_seed, 0, np.inf, lo_closed=True, integer=True)
         check_number("w_min", self.w_min, 0, 1)
         check_number("missed_edge_tolerance", self.missed_edge_tolerance, 0, np.inf)
-        check_number("band_ratio", self.band_ratio, 0, 1)
 
 
 @dataclass
@@ -65,27 +62,23 @@ class VertexSample:
         return len(self.x)
 
     @property
-    def u_min(self) -> float:
-        return float(self.u.min()) if len(self) else 1.0
-
-    @property
-    def b_min(self) -> float:
-        return float(self.b.min()) if len(self) else 0.0
-
-    @property
     def death(self) -> np.ndarray:
         return self.b + self.l
 
 
 @dataclass
 class InteractionSample:
-    """Realized interactions with their weight-band index."""
+    """Realized interactions as parallel arrays, band after band: the first
+    band_counts[0] belong to weight band 0, the next band_counts[1] to band
+    1, and so on.  band_w_lo[k] is band k's lower weight edge, one entry per
+    band of weight_bands (empty bands included; none for an empty vertex
+    sample)."""
 
     z: np.ndarray
     w: np.ndarray
     r: np.ndarray
-    band: np.ndarray
-    band_w_lo: np.ndarray = field(default_factory=lambda: np.array([]))
+    band_counts: np.ndarray
+    band_w_lo: np.ndarray
     missed_edge_bound: float = 0.0
 
     def __len__(self) -> int:
@@ -158,11 +151,11 @@ def _born_in_horizon(rng: np.random.Generator, rate: float, size=None):
 
 
 def weight_bands(cfg: SamplerConfig) -> list[tuple[float, float]]:
-    """Geometric weight bands [(hi_0, lo_0), ...] from 1 down to w_min."""
+    """Dyadic weight bands [(hi_0, lo_0), ...] from 1 down to w_min."""
     bands = []
     hi = 1.0
     while hi > cfg.w_min:
-        lo = max(hi * cfg.band_ratio, cfg.w_min)
+        lo = max(hi * 0.5, cfg.w_min)
         bands.append((hi, lo))
         hi = lo
     return bands
@@ -208,30 +201,28 @@ def sample_interactions(
         )
     if len(vs) == 0:
         empty = np.array([])
-        return InteractionSample(empty, empty, empty, np.array([], dtype=int))
+        return InteractionSample(empty, empty, empty, np.array([], dtype=int), empty)
 
     rng = substream_generator(cfg.master_seed, stream, tag=1)
-    t_lo, t_hi = vs.b_min, 1.0
-    span = t_hi - t_lo
-    u_min = vs.u_min
+    t_lo = float(vs.b.min())
+    u_min = float(vs.u.min())
 
-    zs, ws, rs, bands, lo_edges = [], [], [], [], []
-    for k, (w_hi, w_lo) in enumerate(weight_bands(cfg)):
+    zs, ws, rs, counts, lo_edges = [], [], [], [], []
+    for w_hi, w_lo in weight_bands(cfg):
         margin = params.beta * u_min ** (-params.gamma) * w_lo ** (-params.gamma_prime)
         length = params.n + 2.0 * margin
-        mean = length * (w_hi - w_lo) * span
-        count = rng.poisson(mean)
+        count = rng.poisson(length * (w_hi - w_lo) * (1.0 - t_lo))
         zs.append(rng.uniform(-margin, params.n + margin, size=count))
         ws.append(rng.uniform(w_lo, w_hi, size=count))
-        rs.append(rng.uniform(t_lo, t_hi, size=count))
-        bands.append(np.full(count, k, dtype=int))
+        rs.append(rng.uniform(t_lo, 1.0, size=count))
+        counts.append(count)
         lo_edges.append(w_lo)
 
     return InteractionSample(
-        z=np.concatenate(zs) if zs else np.array([]),
-        w=np.concatenate(ws) if ws else np.array([]),
-        r=np.concatenate(rs) if rs else np.array([]),
-        band=np.concatenate(bands) if bands else np.array([], dtype=int),
+        z=np.concatenate(zs),
+        w=np.concatenate(ws),
+        r=np.concatenate(rs),
+        band_counts=np.array(counts),
         band_w_lo=np.array(lo_edges),
         missed_edge_bound=bound,
     )

@@ -50,7 +50,6 @@ FIELDS = (
     "sampler.master_seed",
     "sampler.w_min",
     "sampler.missed_edge_tolerance",
-    "sampler.band_ratio",
     "replicates",
     "eval_times",
     "write_paths",
@@ -65,7 +64,7 @@ FIELDS = (
     "out_dir",
 )
 
-EDGE_VALUES = (0, -1, 1e300, math.nan, "x", True, [])
+EDGE_VALUES = (0, -1, 1e300, 1e-300, math.nan, "x", True, [])
 
 
 def _config(base: str, overrides: dict) -> dict:

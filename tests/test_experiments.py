@@ -12,6 +12,7 @@ from drchm.catalog import CatalogRecord
 from drchm.cli import main
 from drchm.experiments import (
     MAX_WORKERS,
+    MIN_EPSILON,
     ExperimentConfig,
     _simulate_one,
     edge_count_ensemble,
@@ -21,7 +22,7 @@ from drchm.experiments import (
     run_validate_marks,
     run_sample_limit,
 )
-from drchm.model import ModelParams
+from drchm.model import MIN_BETA, ModelParams
 from drchm.oracles import mean_edge_count
 from drchm.paths import StepPath, build_edges, edge_count_path, mark_split_paths
 from drchm.sampler import SamplerConfig, sample_interactions, sample_vertices
@@ -471,6 +472,11 @@ class TestCLI:
             ("simulate", {"write_paths": 0}),
             ("simulate", {"workers": MAX_WORKERS + 1}),
             ("sample-limit", _stable(grid_points=513)),
+            ("simulate", {"sampler": {"band_ratio": 0.5}}),
+            ("sample-limit", {"model": {**_stable()["model"], "beta": 1e-300}}),
+            ("sample-limit", _stable(epsilon=1e-10)),
+            ("validate-stable", _stable(ks_epsilon=1e-10)),
+            ("validate-stable", _stable(eps_sequence=[0.1, 1e-10])),
         ],
     )
     def test_fields_checked_at_the_boundary_exit_two(self, tmp_path, capsys, kind, overrides):
@@ -480,6 +486,17 @@ class TestCLI:
     def test_smallest_jump_sample_accepted(self):
         data = _base_config(kind="validate-stable", **_stable(jump_samples=82))
         assert ExperimentConfig.from_dict(data).jump_samples == 82
+
+    def test_smallest_scale_and_level_run(self, tmp_path):
+        # The floors MIN_BETA and MIN_EPSILON are accepted, and the jump
+        # measure stays finite at the smallest scale.
+        data = _base_config(kind="sample-limit", replicates=2, grid_points=11, **_stable(epsilon=0.1))
+        data["model"]["beta"] = MIN_BETA
+        cfg = self._write(tmp_path, data)
+        assert main(["sample-limit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        eps = _stable(epsilon=MIN_EPSILON, ks_epsilon=MIN_EPSILON)
+        cfg = ExperimentConfig.from_dict(_base_config(kind="validate-stable", **eps))
+        assert cfg.epsilon == cfg.ks_epsilon == MIN_EPSILON
 
     def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
         cfg = self._write(tmp_path, _base_config())

@@ -36,6 +36,7 @@ class TestModelParams:
             dict(beta=True, gamma=0.2, gamma_prime=0.2, n=1.0),
             dict(beta=0.25, gamma=0.2, gamma_prime="0.2", n=1.0),
             dict(beta=0.25, gamma=0.2, gamma_prime=0.2, n=float("inf")),
+            dict(beta=1e-300, gamma=0.7, gamma_prime=0.2, n=1.0),
         ],
     )
     def test_invalid_construction(self, kwargs):

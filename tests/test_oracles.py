@@ -122,7 +122,7 @@ class TestVarianceOracles:
 
     def test_oracle_disagrees_with_printed(self, params_g):
         orc = oracle_covariance(params_g, 0.3, 0.3)
-        assert abs(orc.oracle - orc.printed) > 0.1
+        assert abs(orc.oracle - printed_covariance(params_g, 0.0)) > 0.1
         assert abs(orc.oracle - printed_variance_limit(params_g)) > 0.1
 
     def test_frozen_lag_02(self, params_g):

@@ -23,7 +23,6 @@ from drchm.sampler import (
     VertexSample,
     sample_interactions,
     sample_vertices,
-    weight_bands,
 )
 from drchm.paths import EdgeSet
 
@@ -39,7 +38,7 @@ def _single_instance(r: float):
         z=np.array([0.2]),
         w=np.array([1.0]),
         r=np.array([r]),
-        band=np.array([0]),
+        band_counts=np.array([1]),
         band_w_lo=np.array([1.0]),
     )
     return vs, inter
@@ -59,7 +58,7 @@ def _random_instance(rng, n=5.0, gamma=0.2):
         z=rng.uniform(-2, n + 2, ni),
         w=1.0 - rng.random(ni) * 0.999,
         r=rng.uniform(-2, 1, ni),
-        band=rng.integers(0, 3, ni),
+        band_counts=np.bincount(rng.integers(0, 3, ni), minlength=3),
         band_w_lo=np.full(3, 1e-3),
     )
     return p, vs, inter
@@ -95,7 +94,7 @@ class TestBuildEdges:
             z=inter.z,
             w=inter.w,
             r=inter.r,
-            band=np.zeros(len(inter), dtype=int),
+            band_counts=np.array([len(inter)]),
             band_w_lo=np.array([1e-3]),
         )
         a = build_edges(p, vs, inter)
@@ -110,7 +109,7 @@ class TestBuildEdges:
         )
         empty_i = InteractionSample(
             z=np.array([]), w=np.array([]), r=np.array([]),
-            band=np.array([], dtype=int),
+            band_counts=np.array([], dtype=int), band_w_lo=np.array([]),
         )
         assert len(build_edges(p, empty_v, empty_i)) == 0
 
@@ -124,10 +123,9 @@ def _pair_key(edges):
 @st.composite
 def _pairing_instances(draw):
     """A random model and sample, possibly without vertices or
-    interactions, whose interactions carry shuffled, non-contiguous band
-    labels; band_w_lo bounds each band's weights from below and differs per
-    band, labels without interactions hold a value no weight respects, and
-    half the instances drop band_w_lo to exercise the fallback."""
+    interactions, laid out band by band over a random geometric weight
+    partition from 1 down to w_min: each band holds the interactions drawn
+    into it (often none), with weights between its edges."""
     p = ModelParams(
         beta=draw(st.floats(0.01, 1.0)),
         gamma=draw(st.floats(0.01, 0.95).filter(lambda g: g != 0.5)),
@@ -135,19 +133,16 @@ def _pairing_instances(draw):
         n=draw(st.floats(0.5, 20.0)),
     )
     w_min = 10.0 ** draw(st.floats(-10.0, -0.5))
-    band_ratio = draw(st.floats(0.05, 0.95))
+    ratio = draw(st.floats(0.05, 0.95))
     nv = draw(st.integers(0, 40))
     ni = draw(st.integers(0, 60))
-    fallback = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    bands = weight_bands(SamplerConfig(w_min=w_min, band_ratio=band_ratio))
-    labels = rng.choice(3 * len(bands), size=len(bands), replace=False)
-    band_w_lo = np.full(3 * len(bands), 2.0)
-    band_w_lo[labels] = [lo for _, lo in bands]
-    k = rng.integers(0, len(bands), ni)
-    hi_w = np.array([hi for hi, _ in bands])[k]
-    lo_w = np.array([lo for _, lo in bands])[k]
+    edges = [1.0]
+    while edges[-1] > w_min:
+        edges.append(max(edges[-1] * ratio, w_min))
+    hi, lo = np.array(edges[:-1]), np.array(edges[1:])
+    band_counts = np.bincount(rng.integers(0, len(lo), ni), minlength=len(lo))
     vs = VertexSample(
         x=rng.uniform(0.0, p.n, nv),
         u=1.0 - rng.random(nv),
@@ -156,10 +151,10 @@ def _pairing_instances(draw):
     )
     inter = InteractionSample(
         z=rng.uniform(-p.n, 2.0 * p.n, ni),
-        w=rng.uniform(lo_w, hi_w),
+        w=rng.uniform(np.repeat(lo, band_counts), np.repeat(hi, band_counts)),
         r=rng.uniform(-2.0, 1.0, ni),
-        band=labels[k],
-        band_w_lo=np.array([]) if fallback else band_w_lo,
+        band_counts=band_counts,
+        band_w_lo=lo,
     )
     return p, vs, inter
 
@@ -172,23 +167,22 @@ class TestPairingProperties:
         fast = build_edges(p, vs, inter)
         assert _pair_key(fast) == _pair_key(build_edges_brute_force(p, vs, inter))
 
-    def test_labels_are_grouped_not_sliced(self):
-        # Two bands with interleaved labels; band 7 holds the small weights
-        # and so needs the long reach of its own band_w_lo.
+    def test_deep_band_uses_its_own_reach(self):
+        # Band 1 holds the small weights and so needs the long reach of its
+        # own band_w_lo; edges come band by band, each band by position.
         p = ModelParams(0.25, 0.7, 0.5, 10.0)
         vs = VertexSample(
             x=np.array([5.0]), u=np.array([1.0]), b=np.array([0.0]), l=np.array([1.0])
         )
-        z = np.array([5.1, 9.0, 5.2, 1.0, 5.25])
-        w = np.array([0.9, 1e-4, 0.8, 1e-4, 0.7])
-        band = np.array([2, 7, 2, 7, 2])
-        band_w_lo = np.full(8, 2.0)
-        band_w_lo[2], band_w_lo[7] = 0.5, 1e-4
         inter = InteractionSample(
-            z=z, w=w, r=np.full(5, 0.5), band=band, band_w_lo=band_w_lo
+            z=np.array([5.2, 5.1, 5.25, 9.0, 1.0]),
+            w=np.array([0.8, 0.9, 0.7, 1e-4, 1e-4]),
+            r=np.full(5, 0.5),
+            band_counts=np.array([3, 2]),
+            band_w_lo=np.array([0.5, 1e-4]),
         )
         edges = build_edges(p, vs, inter)
-        assert sorted(edges.interaction_index) == [0, 1, 2, 3, 4]
+        np.testing.assert_array_equal(edges.interaction_index, [1, 0, 2, 4, 3])
         assert _pair_key(edges) == _pair_key(build_edges_brute_force(p, vs, inter))
 
     def test_vertex_order_irrelevant(self):

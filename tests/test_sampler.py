@@ -33,8 +33,8 @@ class TestSamplerConfig:
             dict(w_min=0.0),
             dict(w_min=1.0),
             dict(missed_edge_tolerance=0.0),
-            dict(band_ratio=1.0),
-            dict(band_ratio=0.0),
+            dict(w_min=float("nan")),
+            dict(master_seed=-1),
             dict(missed_edge_tolerance=float("inf")),
             dict(missed_edge_tolerance=True),
         ],
@@ -102,7 +102,7 @@ class TestVertexSampler:
 
 class TestWeightBands:
     def test_cover_and_ratio(self):
-        cfg = SamplerConfig(w_min=1e-3, band_ratio=0.5)
+        cfg = SamplerConfig(w_min=1e-3)
         bands = weight_bands(cfg)
         assert bands[0][0] == 1.0
         assert bands[-1][1] == cfg.w_min
@@ -159,8 +159,25 @@ class TestInteractionSampler:
         out = sample_interactions(params_g, scfg, vs, 0)
         assert np.all(out.w >= scfg.w_min)
         assert np.all(out.w <= 1.0)
-        assert np.all((vs.b_min <= out.r) & (out.r <= 1.0))
+        assert np.all((vs.b.min() <= out.r) & (out.r <= 1.0))
         assert out.missed_edge_bound <= scfg.missed_edge_tolerance
+
+    @pytest.mark.parametrize("regime", ["gaussian", "stable"])
+    def test_band_layout(self, params_g, params_s, regime):
+        # Interactions arrive band after band: band_counts partitions them
+        # in order, and band k's weights lie between its edges.
+        p = params_g if regime == "gaussian" else params_s
+        cfg = SamplerConfig(master_seed=3, w_min=1e-8)
+        bands = weight_bands(cfg)
+        for s in range(5):
+            out = sample_interactions(p, cfg, sample_vertices(p, cfg, s), s)
+            assert out.band_counts.sum() == len(out)
+            assert len(out.band_counts) == len(bands)
+            np.testing.assert_array_equal(out.band_w_lo, [lo for _, lo in bands])
+            ends = np.cumsum(out.band_counts)
+            for (w_hi, w_lo), end, count in zip(bands, ends, out.band_counts):
+                w = out.w[end - count : end]
+                assert np.all((w_lo <= w) & (w <= w_hi))
 
     def test_empty_vertices_give_empty(self, scfg):
         p = ModelParams(0.25, 0.2, 0.2, 0.0)
@@ -177,9 +194,9 @@ class TestInteractionSampler:
                 continue
             out = sample_interactions(p, scfg, vs, s)
             w_hi, w_lo = weight_bands(scfg)[0]
-            margin = p.beta * vs.u_min ** (-p.gamma) * w_lo ** (-p.gamma_prime)
-            means.append((p.n + 2 * margin) * (w_hi - w_lo) * (1.0 - vs.b_min))
-            counts.append(int(np.sum(out.band == 0)))
+            margin = p.beta * vs.u.min() ** (-p.gamma) * w_lo ** (-p.gamma_prime)
+            means.append((p.n + 2 * margin) * (w_hi - w_lo) * (1.0 - vs.b.min()))
+            counts.append(int(out.band_counts[0]))
         counts = np.array(counts, dtype=float)
         delta = counts - np.array(means)
         se = delta.std(ddof=1) / np.sqrt(len(delta))
