@@ -197,22 +197,23 @@ def _log_u_rule(u_lo: float, order: int = 24):
 
 def _common_w_integral(params: ModelParams, d, a1, a2, order: int = 16):
     """Numeric integral over w in (0, 1] of the overlap of the two connection
-    intervals at spatial distance d, with radii beta * ai * w^-gamma'.
+    intervals at spatial distance d, with radii beta * ai * w^-gamma', for
+    each pair (a1[k], a2[k]).
 
     Substitutes w = v^(1/(1-gamma')) and places panel edges at the two kink
     weights where rho1 + rho2 = d and |rho1 - rho2| = d.  Returns an array of
-    shape (len(a1), len(a2), len(d)).
+    shape (len(a1), len(d)).
     """
     gp = params.gamma_prime
     s = 1.0 / (1.0 - gp)
-    A1 = a1[:, None, None]
-    A2 = a2[None, :, None]
-    D = d[None, None, :]
+    A1 = a1[:, None]
+    A2 = a2[:, None]
+    D = d[None, :]
     with np.errstate(over="ignore"):
         w_sum = np.minimum((params.beta * (A1 + A2) / D) ** (1.0 / gp), 1.0)
         w_dif = np.minimum((params.beta * np.abs(A1 - A2) / D) ** (1.0 / gp), 1.0)
     v_edges = (np.zeros_like(w_sum), w_dif ** (1.0 - gp), w_sum ** (1.0 - gp))
-    out = np.zeros(np.broadcast_shapes(A1.shape, A2.shape, D.shape))
+    out = np.zeros(w_sum.shape)
     for lo_e, hi_e in ((v_edges[0], v_edges[1]), (v_edges[1], v_edges[2])):
         nodes, wts = gl_panel(lo_e, hi_e, order)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -245,6 +246,8 @@ def _pair_numeric(
     Translation invariance reduces the double position integral to the
     distance d with the triangular weight (1 - d/n); the d-axis uses
     geometrically graded panels so the small-distance mass is resolved.
+    The overlap |N12| is symmetric in the two radii, so when both mark
+    rules share their nodes each unordered node pair is integrated once.
     """
     u1, wu1 = u_rule1
     u2, wu2 = u_rule2
@@ -254,14 +257,20 @@ def _pair_numeric(
     w_mass = float(np.sum(ww * w**-params.gamma_prime))
     f1 = wu1 * (2.0 * params.beta * a1 * w_mass) ** m1
     f2 = wu2 * (2.0 * params.beta * a2 * w_mass) ** m2
+    if np.array_equal(u1, u2):
+        i, j = np.triu_indices(len(u1))
+        pair_weight = np.where(i == j, f1[i] * f2[j], f1[i] * f2[j] + f1[j] * f2[i])
+    else:
+        i, j = (k.ravel() for k in np.indices((len(u1), len(u2))))
+        pair_weight = f1[i] * f2[j]
     edges = np.concatenate([[0.0], n * 2.0 ** np.arange(-14.0, 1.0)])
     total = 0.0
     for k in range(len(edges) - 1):
         dn, dw = gl_panel(edges[k], edges[k + 1], 16)
         dn, dw = dn.ravel(), dw.ravel()
-        g = _common_w_integral(params, dn, a1, a2)
+        g = _common_w_integral(params, dn, a1[i], a2[j])
         wgt = dw * (1.0 - dn / n) * dn**m3
-        total += float(np.einsum("i,j,ijk->", f1, f2, g * wgt))
+        total += float(pair_weight @ g @ wgt)
     return 2.0 * total
 
 

@@ -228,18 +228,16 @@ def pair_spatial_limit_quad(params: ModelParams):
 # temporal integrals
 
 
-def temporal_weighted_quad(f, b_hi, l_lo_of_b, *, rel_tolerance=REL_TOLERANCE):
-    """Integral over b in (-inf, b_hi], l in [l_lo(b), inf) of e^-l f(b, l)."""
-    value, _ = integrate.dblquad(
-        lambda l, b: math.exp(-l) * f(b, l),
-        -np.inf,
-        b_hi,
-        l_lo_of_b,
-        np.inf,
-        epsabs=1e-13,
-        epsrel=rel_tolerance,
-    )
-    return value
+def temporal_weighted_quad(f, b_hi, l_lo_of_b):
+    """Integral over b in (-inf, b_hi], l in [l_lo(b), inf) of e^-l f(b, l).
+
+    Both axes run on half_line_rule, with b = b_hi - y and l = l_lo(b) + q;
+    f and l_lo_of_b take arrays.
+    """
+    s, ws = half_line_rule()
+    b = b_hi - s[:, None]
+    l = l_lo_of_b(b) + s
+    return float(ws @ (np.exp(-l) * f(b, l)) @ ws)
 
 
 def alive_moment_quad(t1: float, t2: float, k: int):
@@ -253,26 +251,29 @@ def alive_moment_quad(t1: float, t2: float, k: int):
         raise ValueError(f"k must be 1 or 2, got {k}")
     return temporal_weighted_quad(f, t1, lambda b: t2 - b)
 
-def temporal_profile_quad(r: float, t: float, *, rel_tolerance=REL_TOLERANCE):
+
+def temporal_profile_quad(r, t: float):
     """Numeric intensity mass of vertices for which an interaction at time r
-    yields an edge active at t: integral of e^-l over {b <= r, l >= t - b}."""
-    if r > t:
-        return 0.0
-    return temporal_weighted_quad(
-        lambda b, l: 1.0, r, lambda b: t - b, rel_tolerance=rel_tolerance
-    )
+    yields an edge active at t: integral of e^-l over {b <= r, l >= t - b}.
+    Vectorized over r; zero for r > t.
+
+    With b = r - y and l = (t - b) + q the integrand factors into e^-(t-b)
+    times the unit tail integral of e^-q, both summed on half_line_rule.
+    """
+    s, ws = half_line_rule()
+    gap = t - np.asarray(r, dtype=float)
+    body = np.exp(-(np.maximum(gap, 0.0)[..., None] + s)) @ ws
+    out = np.where(gap >= 0.0, body * (ws @ np.exp(-s)), 0.0)
+    return out if out.ndim else float(out)
 
 
 def temporal_pair_quad(t1: float, t2: float):
     """Integral over r of profile(r, t1) * profile(r, t2) -- the temporal
-    factor of the shared-interaction covariance term.  The profiles are
-    integrated to 1e-9, tighter than the outer r-integral."""
-    return quad_1d(
-        lambda r: temporal_profile_quad(r, t1, rel_tolerance=1e-9)
-        * temporal_profile_quad(r, t2, rel_tolerance=1e-9),
-        -np.inf,
-        min(t1, t2),
-    )
+    factor of the shared-interaction covariance term -- with
+    r = min(t1, t2) - x on half_line_rule."""
+    x, wx = half_line_rule()
+    r = min(t1, t2) - x
+    return float(wx @ (temporal_profile_quad(r, t1) * temporal_profile_quad(r, t2)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +374,18 @@ class VarianceTerms:
         return self.single + self.square + self.pair
 
 
+@lru_cache(maxsize=16)
+def _spatial_factors(params: ModelParams, window: bool):
+    """The time-free factors of the variance terms: the first and second
+    spatial moments and the shared-interaction pair factor, the latter at
+    window length params.n (window=True) or per unit length as n -> infinity."""
+    m1 = spatial_moment_quad(params, 1.0)
+    m2 = spatial_moment_quad(params, 2.0)
+    if window:
+        return m1, m2, window_pair_spatial_quad(params, params.n)
+    return m1, m2, pair_spatial_limit_quad(params)
+
+
 @lru_cache(maxsize=64)
 def oracle_variance_terms(params: ModelParams, t: float) -> VarianceTerms:
     """Numeric Var(S_n(t)) at finite window length n, term by term.
@@ -383,11 +396,9 @@ def oracle_variance_terms(params: ModelParams, t: float) -> VarianceTerms:
     term feels the window edges.
     """
     require_gaussian(params)
-    m1 = spatial_moment_quad(params, 1.0)
-    m2 = spatial_moment_quad(params, 2.0)
+    m1, m2, pair_s = _spatial_factors(params, window=True)
     t1 = alive_moment_quad(t, t, 1)
     t2 = alive_moment_quad(t, t, 2)
-    pair_s = window_pair_spatial_quad(params, params.n)
     pair_t = temporal_pair_quad(t, t)
     return VarianceTerms(
         single=params.n * m1 * t1,
@@ -425,9 +436,7 @@ def oracle_covariance(params: ModelParams, t1: float, t2: float) -> CovarianceOr
     require_gaussian(params)
     if t2 < t1:
         t1, t2 = t2, t1
-    m1 = spatial_moment_quad(params, 1.0)
-    m2 = spatial_moment_quad(params, 2.0)
-    pair_s = pair_spatial_limit_quad(params)
+    m1, m2, pair_s = _spatial_factors(params, window=False)
     return CovarianceOracle(
         joint=m1 * alive_moment_quad(t1, t2, 1),
         vertex=m2 * alive_moment_quad(t1, t2, 2),

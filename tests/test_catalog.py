@@ -4,13 +4,24 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from drchm import experiments
 from drchm.catalog import (
     BOUND_SLACK,
     EQUALITY_TOLERANCE,
     _chk_pm_chain_finite,
+    _common_w_integral,
+    _log_u_rule,
+    _pair_numeric,
+    _power_u_rule,
 )
 from drchm.experiments import ExperimentConfig, run_oracle_report
+from drchm.model import ModelParams
+from drchm.oracles import gl_panel
 from drchm.rng import stream_generator
 
 
@@ -38,18 +49,27 @@ def test_all_passed(catalog_records):
     assert all(rec.passed for rec in catalog_records)
 
 
-def test_jsonl_output(catalog_records, tmp_path, monkeypatch):
-    # the oracle report writes the catalog file; a stable model skips its
-    # slow covariance adjudication
+def _oracle_report(gamma, catalog_records, tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "lemma_catalog_check", lambda master_seed: catalog_records)
     cfg = ExperimentConfig.from_dict(
         {
-            "model": {"beta": 0.25, "gamma": 0.7, "gamma_prime": 0.2, "n": 50.0},
+            "model": {"beta": 0.25, "gamma": gamma, "gamma_prime": 0.2, "n": 50.0},
             "kind": "oracle-report",
             "out_dir": str(tmp_path),
         }
     )
-    lines = Path(run_oracle_report(cfg)["catalog"]).read_text().strip().split("\n")
+    return run_oracle_report(cfg)
+
+
+def _reject(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def test_jsonl_output(catalog_records, tmp_path, monkeypatch):
+    # the oracle report writes the catalog file; a stable model has no
+    # covariance adjudication
+    out = _oracle_report(0.7, catalog_records, tmp_path, monkeypatch)
+    lines = Path(out["catalog"]).read_text().strip().split("\n")
     assert len(lines) == len(catalog_records)
     first = json.loads(lines[0])
     assert set(first) == {
@@ -60,6 +80,57 @@ def test_jsonl_output(catalog_records, tmp_path, monkeypatch):
         "bound_violations",
         "passed",
     }
+
+
+def test_gaussian_covariance_adjudication(tmp_path, monkeypatch):
+    out = _oracle_report(0.2, [], tmp_path, monkeypatch)
+    lines = Path(out["report"]).read_text().strip().split("\n")
+    records = [json.loads(line, parse_constant=_reject) for line in lines]
+    adjudication = [r for r in records if r["section"] == "covariance_adjudication"]
+    assert [r["lag"] for r in adjudication] == [0.0, 0.2, 0.5]
+    for rec in adjudication:
+        assert rec["adjudicated_matches"] is True
+        assert rec["printed_covariance_matches"] is False
+    assert adjudication[0]["printed_variance_matches"] is False
+    assert records[-1]["section"] == "catalog_summary"
+
+
+def _all_pairs_numeric(params, n, rule, m1, m2, m3):
+    """_pair_numeric summed over every ordered node pair, with no symmetry."""
+    u, wu = rule
+    a = u ** (-params.gamma)
+    w, ww = _power_u_rule(params.gamma_prime)
+    w_mass = float(np.sum(ww * w**-params.gamma_prime))
+    f1 = wu * (2.0 * params.beta * a * w_mass) ** m1
+    f2 = wu * (2.0 * params.beta * a * w_mass) ** m2
+    i, j = (k.ravel() for k in np.indices((len(u), len(u))))
+    edges = np.concatenate([[0.0], n * 2.0 ** np.arange(-14.0, 1.0)])
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        dn, dw = (x.ravel() for x in gl_panel(lo, hi, 16))
+        g = _common_w_integral(params, dn, a[i], a[j])
+        wgt = dw * (1.0 - dn / n) * dn**m3
+        total += float(np.einsum("p,pk,k->", f1[i] * f2[j], g, wgt))
+    return 2.0 * total
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    gamma=st.floats(0.05, 0.3),
+    gamma_prime=st.floats(0.05, 0.2),
+    beta=st.floats(0.1, 1.0),
+    ms=st.tuples(*[st.integers(0, 2)] * 3),
+    u_lo=st.one_of(st.none(), st.floats(0.05, 0.8)),
+)
+def test_pair_numeric_triangle_equals_all_pairs(gamma, gamma_prime, beta, ms, u_lo):
+    # one mark rule passed twice takes each unordered node pair once
+    params = ModelParams(beta=beta, gamma=gamma, gamma_prime=gamma_prime, n=10.0)
+    rule = _power_u_rule((1 + ms[0]) * gamma) if u_lo is None else _log_u_rule(u_lo)
+    m1, m2, m3 = ms
+    value = _pair_numeric(params, 10.0, rule, rule, m1=m1, m2=m2, m3=m3)
+    assert value == pytest.approx(
+        _all_pairs_numeric(params, 10.0, rule, m1, m2, m3), rel=1e-12
+    )
 
 
 def test_chain_finite_reference_is_finite():

@@ -9,6 +9,7 @@ from drchm.model import ModelParams, RegimeError
 from drchm.oracles import (
     CovarianceConstants,
     adjudicated_constants,
+    alive_moment_quad,
     half_line_rule,
     improper_power_quad,
     log_power_quad,
@@ -25,6 +26,8 @@ from drchm.oracles import (
     stable_band_variance_quad,
     stable_mean,
     stable_mean_quad,
+    temporal_pair_quad,
+    temporal_profile_quad,
 )
 from drchm.sampler import _nu_tail, limit_jump_threshold
 
@@ -52,6 +55,43 @@ class TestQuadrature:
             assert float(np.sum(w * q**k * np.exp(-q))) == pytest.approx(
                 math.factorial(k), rel=1e-10
             )
+
+
+# ordered time pairs t1 <= t2, the diagonal included
+TIME_PAIRS = [
+    (t1, t2) for t1 in (0.0, 0.3, 0.5, 1.0) for t2 in (0.0, 0.3, 0.5, 1.0) if t1 <= t2
+]
+
+
+class TestTemporalOracles:
+    """The half-line sums against the closed forms they must reproduce."""
+
+    @pytest.mark.parametrize("t1, t2", TIME_PAIRS)
+    def test_profile(self, t1, t2):
+        # r below, at and above t = t2
+        for r in (t1 - 2.0, t1, t2, t2 + 0.25):
+            exact = math.exp(-(t2 - r)) if r <= t2 else 0.0
+            assert temporal_profile_quad(r, t2) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_profile_vectorized(self):
+        r = np.array([-3.0, 0.0, 0.5, 0.75])
+        out = temporal_profile_quad(r, 0.5)
+        assert out.shape == (4,)
+        np.testing.assert_allclose(out, np.where(r <= 0.5, np.exp(r - 0.5), 0.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("t1, t2", TIME_PAIRS)
+    def test_pair(self, t1, t2):
+        exact = math.exp(-(t2 - t1)) / 2.0
+        assert temporal_pair_quad(t1, t2) == pytest.approx(exact, rel=1e-12)
+        assert temporal_pair_quad(t2, t1) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("t1, t2", TIME_PAIRS)
+    def test_alive_moments(self, t1, t2):
+        h = t2 - t1
+        assert alive_moment_quad(t1, t2, 1) == pytest.approx(math.exp(-h), rel=1e-12)
+        assert alive_moment_quad(t1, t2, 2) == pytest.approx(
+            (2.0 + h) * math.exp(-h), rel=1e-12
+        )
 
 
 class TestConstants:
