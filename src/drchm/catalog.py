@@ -31,6 +31,7 @@ from .model import (
     temporal_nbhd_size,
 )
 from .oracles import (
+    gauss_rule,
     gl_panel,
     half_line_rule,
     improper_power_quad,
@@ -159,20 +160,20 @@ def _pm_profile_inner(r, t1: float, t2: float, sign: str):
     """Numeric mass of {p: r in N^sign(p; t2) \\ N^sign(p; t1)} under e^-l
     on {b + l >= 0}, vectorized over r and parameterized by s = r - b >= 0.
     With t1 = -inf it is the mass of {p: r in N^sign(p; t2)}."""
-    r = np.asarray(r, dtype=float)[..., None]
-    s, ws = half_line_rule()
+    r = np.asarray(r, dtype=float)
     if sign == "plus":
         # being in the t2 neighborhood but not the t1 one forces
         # t1 < r <= t2; there the conditions reduce to b <= r <= b + l
-        lo = np.maximum(s, s - r)
+        s, ws = half_line_rule()
+        lo = np.maximum(s, s - r[..., None])
         val = np.sum(ws * _exp_tail(lo), axis=-1)
-        ind = (r[..., 0] > t1) & (r[..., 0] <= t2)
-        return np.where(ind, val, 0.0)
-    lo = s + np.maximum(np.maximum(t1 - r, -r), 0.0)
-    lo = np.maximum(lo, s)
-    hi = np.maximum(s + (t2 - r), lo)
-    nodes, wts = gl_panel(lo, hi, 12)
-    return np.sum(np.sum(wts * np.exp(-nodes), axis=-1) * ws, axis=-1)
+        return np.where((r > t1) & (r <= t2), val, 0.0)
+    # the l-panel is [s + c, s + c + width] with c and width free of s, so
+    # e^-l factors into e^-s, whose half-line sum is the unit tail, times
+    # one panel sum per r
+    c = np.maximum(np.maximum(t1 - r, -r), 0.0)
+    nodes, wts = gl_panel(c, c + np.maximum(t2 - r - c, 0.0), 12)
+    return np.sum(wts * np.exp(-nodes), axis=-1) * _unit_tail()
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +214,27 @@ def _common_w_integral(params: ModelParams, d, a1, a2, order: int = 16):
         w_sum = np.minimum((params.beta * (A1 + A2) / D) ** (1.0 / gp), 1.0)
         w_dif = np.minimum((params.beta * np.abs(A1 - A2) / D) ** (1.0 / gp), 1.0)
     v_edges = (np.zeros_like(w_sum), w_dif ** (1.0 - gp), w_sum ** (1.0 - gp))
+    x, wx = gauss_rule(order)
+    b1 = (params.beta * A1)[..., None]
+    b2 = (params.beta * A2)[..., None]
+    D3 = D[..., None]
     out = np.zeros(w_sum.shape)
     for lo_e, hi_e in ((v_edges[0], v_edges[1]), (v_edges[1], v_edges[2])):
-        nodes, wts = gl_panel(lo_e, hi_e, order)
+        half = 0.5 * (hi_e - lo_e)
+        # q = v^(s-1) is both w^-gamma' (the radii are beta * ai / q) and,
+        # times s, the Jacobian dw/dv
+        q = lo_e[..., None] + half[..., None] * (x + 1.0)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            wp = (nodes**s) ** (-gp)
-            r1 = params.beta * A1[..., None] * wp
-            r2 = params.beta * A2[..., None] * wp
-            ov = np.clip(
-                np.minimum(r1, D[..., None] + r2)
-                - np.maximum(-r1, D[..., None] - r2),
-                0.0,
-                None,
-            )
-            term = np.sum(wts * s * nodes ** (s - 1.0) * ov, axis=-1)
+            np.power(q, s - 1.0, out=q)
+            r1 = b1 / q
+            r2 = b2 / q
+            ov = np.minimum(r1, D3 + r2)
+            np.negative(r1, out=r1)
+            np.subtract(D3, r2, out=r2)
+            ov -= np.maximum(r1, r2, out=r1)
+            np.maximum(ov, 0.0, out=ov)
+            ov *= q
+            term = (ov @ wx) * (s * half)
         out += np.where(hi_e > lo_e, term, 0.0)
     return out
 

@@ -143,7 +143,7 @@ def window_overlap_profile(
     def kink(crit):
         # u at which rho(u) == crit; no kink in (0,1) maps to the endpoint 1
         crit = np.asarray(crit, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
             u = (c / np.where(crit > 0, crit, np.inf)) ** (1.0 / params.gamma)
         return np.clip(np.nan_to_num(u, nan=1.0, posinf=1.0), 0.0, 1.0)
 
@@ -162,6 +162,9 @@ def window_overlap_profile(
     total = np.zeros_like(z)
     for k in range(edges.shape[-1] - 1):
         nodes, wts = gl_panel(edges[..., k], edges[..., k + 1], order)
+        # a kink at u = 0 gives a zero-width panel with its nodes on 0, where
+        # u^-gamma is infinite; the panel weighs 0, so move its nodes to 1
+        nodes = np.where(wts > 0.0, nodes, 1.0)
         with np.errstate(over="ignore"):
             rho = params.beta * nodes ** (-params.gamma) * c / params.beta
         lo = np.maximum(z[..., None] - rho, 0.0)

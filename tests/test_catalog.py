@@ -17,11 +17,13 @@ from drchm.catalog import (
     _common_w_integral,
     _log_u_rule,
     _pair_numeric,
+    _pm_profile_inner,
     _power_u_rule,
+    _unit_tail,
 )
 from drchm.experiments import ExperimentConfig, run_oracle_report
 from drchm.model import ModelParams
-from drchm.oracles import gl_panel
+from drchm.oracles import gl_panel, half_line_rule
 from drchm.rng import stream_generator
 
 
@@ -131,6 +133,97 @@ def test_pair_numeric_triangle_equals_all_pairs(gamma, gamma_prime, beta, ms, u_
     assert value == pytest.approx(
         _all_pairs_numeric(params, 10.0, rule, m1, m2, m3), rel=1e-12
     )
+
+
+def _minus_profile_by_panels(r, t1, t2):
+    """The minus profile as one l-panel per r and half-line node s."""
+    r = np.asarray(r, dtype=float)[..., None]
+    s, ws = half_line_rule()
+    lo = s + np.maximum(np.maximum(t1 - r, -r), 0.0)
+    lo = np.maximum(lo, s)
+    hi = np.maximum(s + (t2 - r), lo)
+    nodes, wts = gl_panel(lo, hi, 12)
+    return np.sum(np.sum(wts * np.exp(-nodes), axis=-1) * ws, axis=-1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    t2=st.floats(0.02, 1.0),
+    t1_frac=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    below=st.floats(1e-6, 35.0),
+    between=st.floats(0.0, 1.0),
+    above=st.floats(1e-6, 5.0),
+)
+def test_minus_profile_factorizes(t2, t1_frac, below, between, above):
+    # r below 0, between t1 (or 0 when t1 = -inf) and t2, and above t2.  The
+    # reference forms each panel width as (s + t2 - r) - (s + c), which
+    # loses about one ulp of s, so widths stay >= 0.01 here
+    t1 = -math.inf if t1_frac is None else t1_frac * (t2 - 0.01)
+    start = 0.0 if t1_frac is None else t1
+    r = np.array([-below, start + between * (t2 - 0.01 - start), t2 + above])
+    value = _pm_profile_inner(r, t1, t2, "minus")
+    reference = _minus_profile_by_panels(r, t1, t2)
+    assert value[2] == 0.0
+    np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("width", [2.0**-40, 2.0**-27, 2.0**-13])
+def test_minus_profile_narrow_panels(width):
+    # narrow panels against the closed form e^-c (1 - e^-width), times the
+    # numeric half-line mass of e^-s; dyadic widths keep t2 - width exact
+    t2 = 0.5
+    r = np.array([t2 - width, -2.0])
+    t1 = t2 - width
+    value = _pm_profile_inner(r, t1, t2, "minus")
+    c = np.maximum(t1 - r, 0.0)
+    expected = np.exp(-c) * -np.expm1(-width) * _unit_tail()
+    np.testing.assert_allclose(value, expected, rtol=1e-13, atol=0.0)
+
+
+def _overlap_three_powers(params, d, a1, a2, order=16):
+    """_common_w_integral with w^-gamma' and the Jacobian as separate powers."""
+    gp = params.gamma_prime
+    s = 1.0 / (1.0 - gp)
+    A1, A2, D = a1[:, None], a2[:, None], d[None, :]
+    with np.errstate(over="ignore"):
+        w_sum = np.minimum((params.beta * (A1 + A2) / D) ** (1.0 / gp), 1.0)
+        w_dif = np.minimum((params.beta * np.abs(A1 - A2) / D) ** (1.0 / gp), 1.0)
+    v_edges = (np.zeros_like(w_sum), w_dif ** (1.0 - gp), w_sum ** (1.0 - gp))
+    out = np.zeros(w_sum.shape)
+    for lo_e, hi_e in ((v_edges[0], v_edges[1]), (v_edges[1], v_edges[2])):
+        nodes, wts = gl_panel(lo_e, hi_e, order)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            wp = (nodes**s) ** (-gp)
+            r1 = params.beta * A1[..., None] * wp
+            r2 = params.beta * A2[..., None] * wp
+            ov = np.clip(
+                np.minimum(r1, D[..., None] + r2) - np.maximum(-r1, D[..., None] - r2),
+                0.0,
+                None,
+            )
+            term = np.sum(wts * s * nodes ** (s - 1.0) * ov, axis=-1)
+        out += np.where(hi_e > lo_e, term, 0.0)
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    gamma_prime=st.floats(0.05, 0.9),
+    beta=st.floats(0.1, 1.0),
+    a=st.lists(st.floats(1.0, 5.0), min_size=3, max_size=3),
+    far=st.floats(1.5, 4.0),
+)
+def test_common_w_integral_one_power(gamma_prime, beta, a, far):
+    # pairs with a1 == a2 (zero w_dif) and a1 != a2; distances from tiny to
+    # past beta * (a1 + a2), where w_sum < 1
+    params = ModelParams(beta=beta, gamma=0.3, gamma_prime=gamma_prime, n=10.0)
+    a1 = np.array([a[0], a[0], a[1]])
+    a2 = np.array([a[0], a[1], a[2]])
+    d = np.array([1e-12, 1e-6, 0.3, 1.0, far * beta * (a[0] + a[1])])
+    value = _common_w_integral(params, d, a1, a2)
+    reference = _overlap_three_powers(params, d, a1, a2)
+    assert np.all(reference > 0.0)
+    np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
 
 
 def test_chain_finite_reference_is_finite():

@@ -1,6 +1,7 @@
 """Closed-form constants, quadrature oracles, and their frozen values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from drchm.oracles import (
     stable_mean_quad,
     temporal_pair_quad,
     temporal_profile_quad,
+    window_overlap_profile,
 )
 from drchm.sampler import _nu_tail, limit_jump_threshold
 
@@ -55,6 +57,20 @@ class TestQuadrature:
             assert float(np.sum(w * q**k * np.exp(-q))) == pytest.approx(
                 math.factorial(k), rel=1e-10
             )
+
+    def test_window_overlap_profile_tiny_gamma(self):
+        # at gamma -> 0 every kink maps to u = 0 or 1 and rho is c for all u,
+        # so the profile is the length of [z - c, z + c] inside [0, n]; the
+        # zero-width panels at u = 0 must not raise or warn
+        params = ModelParams(beta=0.25, gamma=1e-300, gamma_prime=0.2, n=10.0)
+        n, w = 10.0, 0.5
+        c = params.beta * w ** (-params.gamma_prime)
+        z = np.array([0.0, n, 3.7, n + 0.5 * c, n + 3.0 * c])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            g = window_overlap_profile(params, z, w, n)
+        expected = np.maximum(np.minimum(z + c, n) - np.maximum(z - c, 0.0), 0.0)
+        np.testing.assert_allclose(g, expected, rtol=1e-12, atol=0.0)
 
 
 # ordered time pairs t1 <= t2, the diagonal included
