@@ -3,8 +3,10 @@
 Draws a large replicate ensemble in the light-tailed regime, applies the
 skewness/kurtosis omnibus normality statistic, and contrasts it with the
 heavy-tailed regime where the same statistic rejects decisively.  Also
-samples the limiting Gaussian process itself on a grid via its factorized
-covariance matrix.
+samples the limiting Gaussian process itself on a grid: an
+Ornstein-Uhlenbeck process plus a CAR(2) process with a double root at -1,
+K(h) = a e^-h + b (1 + h) e^-h with a = c1 + c2 + c3 and b = c2 from the
+adjudicated constants, drawn by its exact Markov recursion.
 
 Run:  python demos/03_gaussian_limit.py
 """

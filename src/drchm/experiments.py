@@ -292,11 +292,13 @@ def edge_count_ensemble(
 
 
 def _replicate_map(task, streams, workers: int) -> list:
-    """[task(s) for s in streams], on a thread pool when workers > 1.  Each
-    replicate draws only from its own streams, so the worker count cannot
-    change the results."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    """[task(s) for s in streams] on min(workers, usable cores) threads, or
+    serially when that is 1.  Each replicate draws only from its own streams,
+    so the thread count cannot change the results."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    threads = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(task, streams))
     return [task(s) for s in streams]
 
@@ -746,7 +748,6 @@ def run_sample_limit(cfg: ExperimentConfig) -> dict:
                 "section": "replicate",
                 "replicate": rep,
                 "regime": "gaussian",
-                "jitter": ggrid.jitter,
                 "values_at_eval_times": [
                     float(np.interp(t, grid, values)) for t in cfg.eval_times
                 ],

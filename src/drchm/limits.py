@@ -1,12 +1,12 @@
 """Samplers for the two limiting processes of the normalized edge count.
 
-In the Gaussian regime the limit is a centered Gaussian process sampled on a
-fixed time grid through a factorized covariance matrix.  In the heavy-tailed
-regime the limit is approximated by its jump-truncated version: a sum of
-weighted age terms J * (t - B) over the jump points alive at t, which is
-continuous piecewise linear between events and drops by J * (death - B) when
-a point dies.  Truncation levels couple by superposing independent bands of
-jump sizes, so refining a level only ever adds points.
+In the Gaussian regime the limit, an Ornstein-Uhlenbeck process plus a CAR(2)
+process, is sampled on a fixed time grid by its exact Markov recursion.  In
+the heavy-tailed regime the limit is approximated by its jump-truncated
+version: a sum of weighted age terms J * (t - B) over the jump points alive
+at t, which is continuous piecewise linear between events and drops by
+J * (death - B) when a point dies.  Truncation levels couple by superposing
+independent bands of jump sizes, so refining a level only ever adds points.
 """
 
 from __future__ import annotations
@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .model import (
-    FactorizationError,
-    ModelParams,
-    require_gaussian,
-    require_stable,
-)
+from .model import ModelParams, require_gaussian, require_stable
 from .oracles import adjudicated_constants, stable_mean
 from .rng import stream_generator
 from .sampler import (
@@ -36,7 +32,6 @@ from .sampler import (
 )
 
 MAX_GRID_POINTS = 512
-JITTER_BUDGET = 1e-10  # max jitter, as a fraction of mean diagonal
 SLOPE_REL_TOL = 1e-9  # slope check tolerance beyond the evaluations' rounding
 
 # Replicates drawn per block in stable_band_marginals.  Each block draws its
@@ -47,21 +42,22 @@ _MARGINAL_CHUNK = 4096
 
 @dataclass
 class GaussianGrid:
-    """A time grid with its covariance matrix and lower-triangular factor."""
+    """A time grid with the innovation factors of the limit's Markov form.
+
+    K(h) = a e^-h + b (1 + h) e^-h, a = c1 + c2 + c3 and b = c2 adjudicated,
+    is the covariance of an OU process plus a CAR(2) state (X, X') with
+    stationary covariance b I and transition e^-h (I + h N), N = [[1, 1],
+    [-1, -1]].  innovation[k] is the lower-triangular factor of the
+    covariance of the innovations entering both at times[k] (at times[0],
+    the stationary law)."""
 
     times: np.ndarray
-    covariance_matrix: np.ndarray
-    factor: np.ndarray
-    jitter: float
+    innovation: np.ndarray
 
     @classmethod
     def build(cls, params: ModelParams, times) -> "GaussianGrid":
-        """Build the grid, factorizing K[i][j] = K(|t_i - t_j|) with the
-        adjudicated constant set, the one that matches the integral oracle.
-
-        A diagonal jitter of at most JITTER_BUDGET times the mean diagonal
-        entry may be applied (and is recorded) when plain Cholesky fails.
-        """
+        """The innovation factors for the adjudicated constant set, in closed
+        form per grid step so that tiny steps do not cancel."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("grid times must be a nonempty 1-d sequence")
@@ -69,40 +65,46 @@ class GaussianGrid:
             raise ValueError(
                 f"grids are capped at {MAX_GRID_POINTS} points, got {len(times)}"
             )
+        if not np.all((times >= 0.0) & (times <= 1.0)):  # NaN fails too
+            raise ValueError("grid times must lie in [0, 1]")
         if np.any(np.diff(times) <= 0):
             raise ValueError("grid times must be strictly increasing")
-        if times[0] < 0.0 or times[-1] > 1.0:
-            raise ValueError("grid times must lie in [0, 1]")
         require_gaussian(params)
-        lags = np.abs(times[:, None] - times[None, :])
-        matrix = np.asarray(adjudicated_constants(params).covariance(lags), dtype=float)
+        c = adjudicated_constants(params)
+        # Unit-scale innovation covariances per step h: 1 - e^-2h for the OU
+        # part, I - Phi Phi^T for the CAR(2) state (q11 = P(3, 2h)).
+        h = np.diff(times)
+        q11 = special.gammainc(3, 2.0 * h)
+        q12 = 2.0 * h**2 * np.exp(-2.0 * h)
+        q22 = -np.expm1(-2.0 * h) + np.exp(-2.0 * h) * (2.0 * h - 2.0 * h**2)
+        innovation = np.zeros((len(times), 3, 3))
+        innovation[0] = np.eye(3)
+        innovation[1:, 0, 0] = np.sqrt(-np.expm1(-2.0 * h))
+        innovation[1:, 1, 1] = np.sqrt(q11)
+        # q11 underflows to 0 on steps below about 1e-103, where q12 has too.
+        innovation[1:, 2, 1] = np.divide(q12, np.sqrt(q11), out=np.zeros_like(h), where=q11 > 0)
+        # q22 - l21**2 is at least q22 / 4 on every step.
+        innovation[1:, 2, 2] = np.sqrt(q22 - innovation[1:, 2, 1] ** 2)
+        innovation *= np.sqrt([c.c1 + c.c2 + c.c3, c.c2, c.c2])[:, None]
+        return cls(times=times, innovation=innovation)
 
-        budget = JITTER_BUDGET * float(np.trace(matrix)) / len(times)
-        for jitter in (0.0, budget * 1e-6, budget * 1e-4, budget * 1e-2, budget):
-            try:
-                factor = np.linalg.cholesky(
-                    matrix + jitter * np.eye(len(times))
-                )
-            except np.linalg.LinAlgError:
-                continue
-            return cls(
-                times=times,
-                covariance_matrix=matrix,
-                factor=factor,
-                jitter=jitter,
-            )
-        raise FactorizationError(
-            "covariance matrix is not positive semidefinite within the "
-            "jitter budget; the constant set is invalid on this grid"
-        )
+    def path(self, normals: np.ndarray) -> np.ndarray:
+        """The path driven by standard normals of shape (..., len(times), 3),
+        linear in them: X(t_k) = e^-t_k sum_{j <= k} e^t_j [xi_j
+        + (1 + t_k - t_j) eta_j1 + (t_k - t_j) eta_j2]."""
+        t, weight = self.times, np.exp(self.times)
+        xi, eta1, eta2 = np.einsum("kij,...kj->i...k", self.innovation, normals)
+        level = np.cumsum(weight * (xi + eta1 - t * (eta1 + eta2)), axis=-1)
+        slope = np.cumsum(weight * (eta1 + eta2), axis=-1)
+        return (level + t * slope) / weight
 
 
 def sample_gaussian_path(
     grid: GaussianGrid, cfg: SamplerConfig, stream: int = 0
 ) -> np.ndarray:
-    """One centered Gaussian path on the grid: factor times i.i.d. normals."""
+    """One centered Gaussian path on the grid, from 3 normals per point."""
     rng = stream_generator(cfg.master_seed, stream)
-    return grid.factor @ rng.standard_normal(len(grid.times))
+    return grid.path(rng.standard_normal((len(grid.times), 3)))
 
 
 # ---------------------------------------------------------------------------

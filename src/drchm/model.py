@@ -56,10 +56,6 @@ class TruncationError(RuntimeError):
     """Raised when the interaction weight cutoff loses too many edges."""
 
 
-class FactorizationError(RuntimeError):
-    """Raised when a covariance matrix cannot be factorized (not PSD)."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters.

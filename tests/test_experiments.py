@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from drchm.experiments import (
     MAX_WORKERS,
     MIN_EPSILON,
     ExperimentConfig,
+    _replicate_map,
     _simulate_one,
     edge_count_ensemble,
     run_experiment,
@@ -233,6 +236,22 @@ class TestEnsemble:
                 )
                 outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
             assert outs[0] and outs[0] == outs[1]
+
+    @pytest.mark.parametrize("cores, pools", [(1, []), (2, [2]), (8, [4])])
+    def test_threads_sized_to_usable_cores(self, monkeypatch, cores, pools):
+        started = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+        )
+        assert _replicate_map(lambda s: s * s, range(10), 4) == [s * s for s in range(10)]
+        assert started == pools
 
     @pytest.mark.parametrize(
         "params, thr",

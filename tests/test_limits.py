@@ -23,17 +23,65 @@ from drchm.sampler import SamplerConfig, limit_jump_threshold, sample_limit_band
 from drchm.stats import cross_covariance
 
 
+# Gaussian-regime sets: the reference set, gamma near 1/2, gamma' near 1/2.
+GAUSSIAN_SETS = [
+    ModelParams(beta=0.25, gamma=0.2, gamma_prime=0.2, n=100.0),
+    ModelParams(beta=1.0, gamma=0.45, gamma_prime=0.1, n=10.0),
+    ModelParams(beta=0.5, gamma=0.1, gamma_prime=0.49, n=10.0),
+]
+
+
+def _adjudicated_K(params, times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    return adjudicated_constants(params).covariance(np.abs(np.subtract.outer(times, times)))
+
+
+def _exact_covariance(grid: GaussianGrid) -> np.ndarray:
+    """M M^T for the linear map M from the (m, 3) normals to the path,
+    read off by feeding it the 3m unit vectors."""
+    m = len(grid.times)
+    M = grid.path(np.eye(3 * m).reshape(3 * m, m, 3)).T
+    return M @ M.T
+
+
+def _random_grid(rng, m: int, tiny_steps: bool) -> np.ndarray:
+    """Uniform points on [0, 1], or steps log-uniform in [1e-12, 1e-2]."""
+    if not tiny_steps:
+        return np.unique(rng.uniform(0.0, 1.0, m))
+    steps = 10.0 ** rng.uniform(-12.0, -2.0, m - 1)
+    return rng.uniform(0.0, 0.5) + np.concatenate([[0.0], np.cumsum(steps)])
+
+
 class TestGaussianGrid:
-    def test_build_properties(self, params_g):
-        grid = GaussianGrid.build(params_g, np.linspace(0.0, 1.0, 64))
-        K = grid.covariance_matrix
-        assert np.allclose(K, K.T)
-        assert grid.jitter == 0.0
-        np.testing.assert_allclose(grid.factor @ grid.factor.T, K, atol=1e-10)
+    @pytest.mark.parametrize("params", GAUSSIAN_SETS)
+    def test_exact_covariance_is_adjudicated(self, params):
+        rng = np.random.default_rng(31)
+        for m in (1, 2, 32, 512):
+            for tiny_steps in (False, True):
+                times = _random_grid(rng, m, tiny_steps)
+                K = _adjudicated_K(params, times)
+                err = np.abs(_exact_covariance(GaussianGrid.build(params, times)) - K)
+                assert err.max() <= 1e-13 * np.abs(K).max()
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, 5e-324], [0.0, 1e-110], [1e-200, 2e-200, 0.5]]
+    )
+    def test_steps_below_gamma_underflow(self, params_g, times):
+        # The CAR(2) innovation variance underflows to 0 on these steps;
+        # nothing may divide by it.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            grid = GaussianGrid.build(params_g, times)
+            path = sample_gaussian_path(grid, SamplerConfig(master_seed=1), 0)
+        assert np.all(np.isfinite(path))
+        K = _adjudicated_K(params_g, times)
+        assert np.abs(_exact_covariance(grid) - K).max() <= 1e-13 * K.max()
 
     @pytest.mark.parametrize(
         "times",
-        [[], [0.5, 0.5], [0.5, 0.2], [-0.1, 0.5], [0.5, 1.2]],
+        [
+            [], [0.5, 0.5], [0.5, 0.2], [-0.1, 0.5], [0.5, 1.2],
+            [0.0, np.nan], [np.nan], [0.2, np.nan, 0.6], [0.5, np.inf],
+        ],
     )
     def test_invalid_grids(self, params_g, times):
         with pytest.raises(ValueError):
@@ -60,18 +108,11 @@ class TestGaussianGrid:
         draws = np.stack(
             [sample_gaussian_path(grid, cfg, s) for s in range(4000)]
         )
+        K = _adjudicated_K(params_g, [0.2, 0.6])
         for i in range(2):
             for j in range(2):
                 cov, se = cross_covariance(draws[:, i], draws[:, j])
-                assert abs(cov - grid.covariance_matrix[i, j]) <= 4 * se
-
-    def test_builds_from_adjudicated_constants(self, params_g):
-        # the printed constant set gives K(0) = 2.734 here
-        grid = GaussianGrid.build(params_g, [0.0, 0.5])
-        assert grid.covariance_matrix[0, 0] == pytest.approx(2.408854166666666)
-        lags = np.array([[0.0, 0.5], [0.5, 0.0]])
-        expected = adjudicated_constants(params_g).covariance(lags)
-        np.testing.assert_array_equal(grid.covariance_matrix, expected)
+                assert abs(cov - K[i, j]) <= 4 * se
 
 
 class TestStablePath:
