@@ -34,8 +34,8 @@ from .oracles import (
     gauss_rule,
     gl_panel,
     half_line_rule,
-    improper_power_quad,
-    quad_1d,
+    log_rule,
+    power_rule,
     spatial_moment_quad,
     spatial_size_quad,
     temporal_profile_quad,
@@ -47,6 +47,8 @@ from .rng import stream_generator
 EQUALITY_TOLERANCE = 1e-6
 BOUND_SLACK = 1e-6
 _CUTOFF = 36.0
+# Gauss nodes per panel of the pair-overlap w-integral.
+_OVERLAP_ORDER = 16
 
 
 @dataclass
@@ -180,23 +182,7 @@ def _pm_profile_inner(r, t1: float, t2: float, sign: str):
 # spatial helpers for pair integrals over the window
 
 
-def _power_u_rule(p_sing: float, order: int = 24):
-    """Quadrature for integrals over u in (0, 1] of integrands ~ u^-p_sing,
-    via the substitution u = v^(1/(1-p))."""
-    s = 1.0 / (1.0 - min(p_sing, 0.97))
-    v, wv = gl_panel(0.0, 1.0, order)
-    v, wv = v.ravel(), wv.ravel()
-    return v**s, wv * s * v ** (s - 1.0)
-
-
-def _log_u_rule(u_lo: float, order: int = 24):
-    """Quadrature for integrals over u in [u_lo, 1] via u = e^x."""
-    x, wx = gl_panel(math.log(u_lo), 0.0, order)
-    x, wx = x.ravel(), wx.ravel()
-    return np.exp(x), wx * np.exp(x)
-
-
-def _common_w_integral(params: ModelParams, d, a1, a2, order: int = 16):
+def _common_w_integral(params: ModelParams, d, a1, a2):
     """Numeric integral over w in (0, 1] of the overlap of the two connection
     intervals at spatial distance d, with radii beta * ai * w^-gamma', for
     each pair (a1[k], a2[k]).
@@ -214,7 +200,7 @@ def _common_w_integral(params: ModelParams, d, a1, a2, order: int = 16):
         w_sum = np.minimum((params.beta * (A1 + A2) / D) ** (1.0 / gp), 1.0)
         w_dif = np.minimum((params.beta * np.abs(A1 - A2) / D) ** (1.0 / gp), 1.0)
     v_edges = (np.zeros_like(w_sum), w_dif ** (1.0 - gp), w_sum ** (1.0 - gp))
-    x, wx = gauss_rule(order)
+    x, wx = gauss_rule(_OVERLAP_ORDER)
     b1 = (params.beta * A1)[..., None]
     b2 = (params.beta * A2)[..., None]
     D3 = D[..., None]
@@ -261,7 +247,7 @@ def _pair_numeric(
     u2, wu2 = u_rule2
     a1 = u1 ** (-params.gamma)
     a2 = u2 ** (-params.gamma)
-    w, ww = _power_u_rule(params.gamma_prime)
+    w, ww = power_rule(params.gamma_prime)
     w_mass = float(np.sum(ww * w**-params.gamma_prime))
     f1 = wu1 * (2.0 * params.beta * a1 * w_mass) ** m1
     f2 = wu2 * (2.0 * params.beta * a2 * w_mass) ** m2
@@ -320,11 +306,8 @@ def _chk_spatial_size_mark_restricted(rng):
     p = _draw_params(rng)
     w = float(rng.uniform(0.05, 1.0))
     u_lo = float(rng.uniform(0.01, 0.9))
-    num = improper_power_quad(
-        lambda u: 2.0 * p.beta * u ** (-p.gamma) * w ** (-p.gamma_prime),
-        p.gamma,
-        lo=u_lo,
-    )
+    u, wu = log_rule(u_lo)
+    num = float(wu @ (2.0 * p.beta * u ** (-p.gamma) * w ** (-p.gamma_prime)))
     ref = (
         2.0
         * p.beta
@@ -363,14 +346,8 @@ def _chk_spatial_pair_size_bound(rng):
     p = _draw_params(rng, gp=(0.1, 0.9))
     u1, u2 = (float(v) for v in rng.uniform(0.1, 1.0, size=2))
     d = float(rng.uniform(0.3, 3.0))
-    a1, a2 = u1 ** (-p.gamma), u2 ** (-p.gamma)
-
-    def overlap(w):
-        r1 = p.beta * a1 * w ** (-p.gamma_prime)
-        r2 = p.beta * a2 * w ** (-p.gamma_prime)
-        return max(0.0, min(r1, d + r2) - max(-r1, d - r2))
-
-    num = improper_power_quad(overlap, p.gamma_prime)
+    a1, a2 = (np.array([u ** (-p.gamma)]) for u in (u1, u2))
+    num = float(_common_w_integral(p, np.array([d]), a1, a2)[0, 0])
     bound = (
         2.0
         * (2.0 * p.beta) ** (1.0 / p.gamma_prime)
@@ -384,7 +361,7 @@ def _chk_spatial_pair_size_bound(rng):
 def _chk_spatial_pair_integral_limit(rng):
     n = 20.0
     p = _draw_params(rng, g=(0.05, 0.95), gp=(0.05, 0.45), n=n)
-    rule = _power_u_rule(p.gamma)
+    rule = power_rule(p.gamma)
     num = _pair_numeric(p, n, rule, rule)
     bound = (2.0 * p.beta) ** 2 / (
         (1.0 - p.gamma) ** 2 * (1.0 - 2.0 * p.gamma_prime)
@@ -396,7 +373,7 @@ def _chk_spatial_pair_integral_mark_restricted(rng):
     n = 20.0
     p = _draw_params(rng, g=(0.05, 0.95), gp=(0.05, 0.45), n=n)
     u_n = n ** -float(rng.uniform(0.2, 0.9))
-    rule = _log_u_rule(u_n)
+    rule = log_rule(u_n)
     num = _pair_numeric(p, n, rule, rule)
     bound = (2.0 * p.beta) ** 2 / (
         (1.0 - p.gamma) ** 2 * (1.0 - 2.0 * p.gamma_prime)
@@ -408,9 +385,7 @@ def _chk_spatial_profile_moment_bound(rng):
     n = 3.0
     m = int(rng.integers(2, 4))
     p = _draw_params(rng, gp=(0.05, 1.0 / m - 0.05), n=n)
-    num = window_pair_spatial_quad(
-        p, n, float(m), order=24, rel_tolerance=1e-6, limit=100
-    )
+    num = window_pair_spatial_quad(p, n, float(m))
     bound = (2.0 * p.beta / (1.0 - p.gamma)) ** m * n / (1.0 - m * p.gamma_prime)
     yield num, bound
 
@@ -424,8 +399,8 @@ def _chk_spatial_weighted_pair_bound(rng):
     num = _pair_numeric(
         p,
         n,
-        _power_u_rule((1 + m1) * p.gamma),
-        _power_u_rule((1 + m2) * p.gamma),
+        power_rule((1 + m1) * p.gamma),
+        power_rule((1 + m2) * p.gamma),
         m1=m1,
         m2=m2,
         m3=m3,
@@ -440,7 +415,7 @@ def _chk_spatial_weighted_pair_mark_restricted(rng):
     gp_hi = 1.0 / (2 + m3) - 0.03
     p = _draw_params(rng, g=(0.55, 0.9), gp=(0.05, gp_hi), n=n)
     u_m = float(rng.uniform(0.05, 0.8))
-    rule = _log_u_rule(u_m)
+    rule = log_rule(u_m)
     num = _pair_numeric(p, n, rule, rule, m1=m1, m2=m2, m3=m3)
     c, cp, cpp = _weighted_pair_constants(p, m1, m2, m3)
     g = p.gamma
@@ -454,12 +429,8 @@ def _chk_temporal_size(rng):
     life = float(rng.uniform(0.1, 3.0))
     t = float(rng.uniform(0.0, 1.0))
     v = Vertex(0.0, 0.5, b, life)
-    num = quad_1d(
-        lambda r: float(b <= r <= t <= b + life),
-        b - 0.5,
-        max(t, b + life) + 0.5,
-        points=[b, t, b + life],
-    )
+    r, wr = _line_rule([b, t, b + life], b - 0.5, max(t, b + life) + 0.5)
+    num = float(wr @ ((b <= r) & (r <= t) & (t <= b + life)))
     yield num, temporal_nbhd_size(v, t)
 
 
@@ -518,12 +489,9 @@ def _chk_pm_size(rng):
     life = float(rng.uniform(0.1, 3.0))
     t = float(rng.uniform(0.0, 1.0))
     v = Vertex(0.0, 0.5, b, life)
-    pts = [b, b + life, t]
-    lo, hi = b - 0.5, max(t, b + life) + 0.5
-    num_plus = quad_1d(
-        lambda r: float(b <= r <= min(b + life, t)), lo, hi, points=pts
-    )
-    num_minus = quad_1d(lambda r: float(b <= r <= b + life <= t), lo, hi, points=pts)
+    r, wr = _line_rule([b, b + life, t], b - 0.5, max(t, b + life) + 0.5)
+    num_plus = float(wr @ ((b <= r) & (r <= min(b + life, t))))
+    num_minus = float(wr @ ((b <= r) & (r <= b + life) & (b + life <= t)))
     yield num_plus, pm_temporal_nbhd_size(v, t, "plus")
     yield num_minus, pm_temporal_nbhd_size(v, t, "minus")
 

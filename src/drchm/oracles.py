@@ -2,7 +2,7 @@
 
 Every closed-form moment used by the validation experiments has a numeric
 twin here, obtained by integrating the defining intensity integrals with
-adaptive or composite Gauss-Legendre quadrature.  The numeric values are the
+fixed composite Gauss-Legendre rules.  The numeric values are the
 binding ground truth: where closed-form candidates disagree with each other,
 experiments compare against the integrals and report which (if any) closed
 form they reproduce.
@@ -15,52 +15,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .model import ModelParams, require_gaussian, require_stable
 
 
-# Relative tolerance and subdivision limit of the adaptive integrators, and
-# the node count per smooth piece of the composite Gauss-Legendre rules.
-REL_TOLERANCE = 1e-8
-MAX_SUBDIVISIONS = 200
-GAUSS_ORDER = 48
+# Gauss-Legendre node counts per panel: the power and log rules, the
+# half-line rule, and the u-, z- and w-panels of the window pair rule.
+RULE_ORDER = 24
+HALF_LINE_ORDER = 10
+PROFILE_U_ORDER = 16
+PROFILE_Z_ORDER = 12
+PROFILE_W_ORDER = 24
+# Last edge of the half-line rule: beyond it e^-x is below 1e-15.
+HALF_LINE_CUTOFF = 36
+# Smallest node of the power rule (see power_rule), and the smallest w-panel
+# edge of window_pair_spatial_quad.
+U_FLOOR = 1e-100
 
 
 # ---------------------------------------------------------------------------
 # quadrature building blocks
-
-
-def quad_1d(
-    f, a, b, points=None, *, rel_tolerance=REL_TOLERANCE, limit=MAX_SUBDIVISIONS
-):
-    """Adaptive 1-D integral; infinite limits allowed (then without points)."""
-    kwargs = dict(epsabs=1e-13, epsrel=rel_tolerance, limit=limit)
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        inside = [p for p in points if a < p < b]
-        if inside:
-            kwargs["points"] = inside
-    value, _ = integrate.quad(f, a, b, **kwargs)
-    return value
-
-
-def improper_power_quad(
-    f, p, lo=0.0, hi=1.0, *, rel_tolerance=REL_TOLERANCE, limit=MAX_SUBDIVISIONS
-):
-    """Integral of f over [lo, hi] where f(u) ~ u^{-p} near 0, with p < 1.
-
-    The substitution u = v^{1/(1-p)} removes the endpoint singularity.
-    """
-    if not p < 1:
-        raise ValueError(f"singularity order must be < 1, got {p}")
-    s = 1.0 / (1.0 - p)
-    return quad_1d(
-        lambda v: s * v ** (s - 1.0) * f(v**s),
-        lo ** (1.0 / s),
-        hi ** (1.0 / s),
-        rel_tolerance=rel_tolerance,
-        limit=limit,
-    )
 
 
 @lru_cache(maxsize=32)
@@ -78,27 +52,62 @@ def gl_panel(lo, hi, order: int):
     return lo + half * (x + 1.0), half * w
 
 
-@lru_cache(maxsize=8)
-def half_line_rule(order: int = 10, cutoff: int = 36):
+@lru_cache(maxsize=1)
+def half_line_rule():
     """Composite rule for integrals over [0, inf) of exponentially decaying
     integrands.  Panels are geometrically graded near 0 (so integrands with
     an algebraic endpoint singularity are still resolved) and unit-width out
-    to the cutoff, beyond which e^-x truncation error is below 1e-15."""
+    to HALF_LINE_CUTOFF."""
     edges = np.concatenate(
-        [[0.0], 2.0 ** np.arange(-24, 1, dtype=float), np.arange(2, cutoff + 1)]
+        [
+            [0.0],
+            2.0 ** np.arange(-24, 1, dtype=float),
+            np.arange(2, HALF_LINE_CUTOFF + 1),
+        ]
     )
-    nodes, weights = gl_panel(edges[:-1], edges[1:], order)
+    nodes, weights = gl_panel(edges[:-1], edges[1:], HALF_LINE_ORDER)
     return nodes.ravel(), weights.ravel()
 
 
-def log_power_quad(f, lo=1e-6, hi=1.0):
-    """Integral of f over [lo, hi] with lo > 0 via the substitution u = e^x,
-    robust for integrands with steep power behavior near lo."""
+def power_rule(p: float):
+    """Nodes u and weights for integrals over u in (0, 1] of f(u) ~ u^-p
+    near 0, with p < 1.
+
+    The substitution u = v^s, s = 1/(1 - p), turns u^-p du into s dv, so a
+    pure power is integrated exactly.  Where that would put nodes below
+    U_FLOOR (p above about 0.97), the v-panel starts at U_FLOOR^(1/s) and
+    [0, U_FLOOR] becomes one node at U_FLOOR of weight s * U_FLOOR, which is
+    exact for u^-p as well.
+    """
+    if not p < 1:
+        raise ValueError(f"singularity order must be < 1, got {p}")
+    s = 1.0 / (1.0 - p)
+    v, wv = (a.ravel() for a in gl_panel(0.0, 1.0, RULE_ORDER))
+    if v[0] ** s >= U_FLOOR:
+        return v**s, wv * s * v ** (s - 1.0)
+    v, wv = (a.ravel() for a in gl_panel(U_FLOOR ** (1.0 / s), 1.0, RULE_ORDER))
+    return (
+        np.append(U_FLOOR, v**s),
+        np.append(s * U_FLOOR, wv * s * v ** (s - 1.0)),
+    )
+
+
+def log_rule(lo: float, hi: float = 1.0):
+    """Nodes u and weights for integrals over u in [lo, hi], 0 < lo < hi,
+    via u = e^x, which turns a power of u into an exponential in x."""
     if not 0 < lo < hi:
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    return quad_1d(
-        lambda x: math.exp(x) * f(math.exp(x)), math.log(lo), math.log(hi)
-    )
+    x, wx = (a.ravel() for a in gl_panel(math.log(lo), math.log(hi), RULE_ORDER))
+    return np.exp(x), wx * np.exp(x)
+
+
+def _kink(scale, crit, exponent: float):
+    """v in [0, 1] at which scale * v^-exponent equals crit, or 1 where crit
+    <= scale (the power never falls to crit); array-safe.  A kink below the
+    smallest double is 0."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        log_ratio = np.minimum(np.log(scale) - np.log(crit), 0.0)
+        return np.exp(log_ratio / exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -108,123 +117,112 @@ def log_power_quad(f, lo=1e-6, hi=1.0):
 def spatial_size_quad(params: ModelParams, u):
     """Numeric measure of the interaction set connecting to a vertex of
     weight u: the z-extent is the interval length 2*beta*u^-gamma*w^-gamma',
-    integrated over w in (0, 1]."""
-
-    def f(w):
-        return 2.0 * params.beta * u ** (-params.gamma) * w ** (-params.gamma_prime)
-
-    return improper_power_quad(f, params.gamma_prime)
+    integrated over w in (0, 1].  Vectorized over u."""
+    w, ww = power_rule(params.gamma_prime)
+    w_mass = float(ww @ w ** (-params.gamma_prime))
+    out = 2.0 * params.beta * np.asarray(u, dtype=float) ** (-params.gamma) * w_mass
+    return out if out.ndim else float(out)
 
 
 def spatial_moment_quad(params: ModelParams, alpha: float, u_lo: float = 0.0):
     """Numeric per-unit-length integral of spatial_size(u)**alpha over
     u in [u_lo, 1]; requires alpha*gamma < 1 when u_lo == 0."""
-    p = alpha * params.gamma
-    f = lambda u: spatial_size_quad(params, u) ** alpha
     if u_lo > 0.0:
-        return log_power_quad(f, lo=u_lo)
-    if not p < 1:
-        raise ValueError("alpha * gamma must be < 1 for the full mark range")
-    return improper_power_quad(f, p)
+        u, wu = log_rule(u_lo)
+    else:
+        if not alpha * params.gamma < 1:
+            raise ValueError("alpha * gamma must be < 1 for the full mark range")
+        u, wu = power_rule(alpha * params.gamma)
+    return float(wu @ spatial_size_quad(params, u) ** alpha)
 
 
-def window_overlap_profile(
-    params: ModelParams, z, w: float, n: float, order: int = GAUSS_ORDER
-):
+def window_overlap_profile(params: ModelParams, z, w: float, n: float):
     """g(z, w) = integral over u in (0,1] of |[z - rho, z + rho] ∩ [0, n]|,
-    with rho = beta * u^-gamma * w^-gamma'.  Vectorized over z.
+    with rho = c * u^-gamma and c = beta * w^-gamma'.  Vectorized over z.
 
-    The u-integrand is piecewise smooth with branch changes where rho crosses
-    |z| and |z - n|; each smooth piece gets its own Gauss panel.
+    The overlap is a + b * rho on each of the three u-panels between the
+    kinks where rho crosses |z| and |z - n|.  Each panel is substituted
+    u = v^r with r = 6/(1 - gamma): then rho du = c r v^5 dv and
+    a du = a r v^(r-1) dv, so no panel has a near-singular end.  Outside
+    the window the two parts nearly cancel as gamma -> 0 (the overlap
+    rho - |z - n| is a fraction ~gamma of rho), which multiplies the Gauss
+    error of v^(r-1) by ~1/gamma; with r = 4/(1 - gamma) that error reached
+    2.6e-9 relative, with r = 6/(1 - gamma) it is below 1e-11.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    r = 6.0 / (1.0 - params.gamma)
     c = params.beta * w ** (-params.gamma_prime)
-
-    def kink(crit):
-        # u at which rho(u) == crit; no kink in (0,1) maps to the endpoint 1
-        crit = np.asarray(crit, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", under="ignore"):
-            u = (c / np.where(crit > 0, crit, np.inf)) ** (1.0 / params.gamma)
-        return np.clip(np.nan_to_num(u, nan=1.0, posinf=1.0), 0.0, 1.0)
-
-    edges = np.sort(
-        np.stack(
-            [
-                np.zeros_like(z),
-                kink(np.abs(z)),
-                kink(np.abs(z - n)),
-                np.ones_like(z),
-            ],
-            axis=-1,
-        ),
-        axis=-1,
-    )
+    kinks = [_kink(c, np.abs(crit), r * params.gamma) for crit in (z, z - n)]
+    edges = np.sort(np.stack([np.zeros_like(z), *kinks, np.ones_like(z)], axis=-1), axis=-1)
+    zz = z[:, None]
     total = np.zeros_like(z)
-    for k in range(edges.shape[-1] - 1):
-        nodes, wts = gl_panel(edges[..., k], edges[..., k + 1], order)
-        # a kink at u = 0 gives a zero-width panel with its nodes on 0, where
-        # u^-gamma is infinite; the panel weighs 0, so move its nodes to 1
-        nodes = np.where(wts > 0.0, nodes, 1.0)
-        with np.errstate(over="ignore"):
-            rho = params.beta * nodes ** (-params.gamma) * c / params.beta
-        lo = np.maximum(z[..., None] - rho, 0.0)
-        hi = np.minimum(z[..., None] + rho, n)
-        total += np.sum(wts * np.clip(hi - lo, 0.0, None), axis=-1)
-    return total
+    for k in range(3):
+        v, wv = gl_panel(edges[:, k], edges[:, k + 1], PROFILE_U_ORDER)
+        # a zero-width panel at v = 0 has its nodes on 0; it weighs 0, so
+        # its nodes move to 1
+        log_v = np.log(np.where(v > 0.0, v, 1.0))
+        rho = c * np.exp(-r * params.gamma * log_v)
+        # the overlap is min(rho, n - z) + min(rho, z), clipped at 0; in
+        # this order it does not cancel where rho is close to the distance
+        # to the window
+        overlap = np.maximum(np.minimum(rho, n - zz) + np.minimum(rho, zz), 0.0)
+        total += np.sum(wv * np.exp((r - 1.0) * log_v) * overlap, axis=-1)
+    return r * total
 
 
-def window_pair_spatial_quad(
-    params: ModelParams,
-    n: float,
-    power: float = 2.0,
-    *,
-    order: int = GAUSS_ORDER,
-    rel_tolerance: float = REL_TOLERANCE,
-    limit: int = MAX_SUBDIVISIONS,
-):
+def _window_z_rule(n: float, c: float):
+    """Nodes and weights on [n/2, inf) for z-integrals of the window profile
+    at scale c.  Panel edges sit at n/2, n and the profile's kinks n - c, c
+    and n + c, and geometrically at distances c * 2^k from n, inward to n/2
+    and outward to 1e12 * max(n, c), where the profile's power tail ends."""
+    dist = c * 2.0 ** np.arange(math.ceil(math.log2(1e12 * max(n, c) / c)) + 1)
+    edges = np.concatenate([[n / 2.0, n, c], n - dist[dist < n / 2.0], n + dist])
+    edges = np.unique(edges[edges >= n / 2.0])
+    z, wz = gl_panel(edges[:-1], edges[1:], PROFILE_Z_ORDER)
+    return z.ravel(), wz.ravel()
+
+
+def window_pair_spatial_quad(params: ModelParams, n: float, power: float = 2.0):
     """Numeric integral over (z, w) in R x (0,1] of g(z, w)**power, with g
     the window overlap profile above.  This is the spatial factor of the
-    shared-interaction covariance term at finite window length n.  order is
-    the Gauss node count per panel; rel_tolerance and limit control the
-    adaptive w-integral."""
+    shared-interaction covariance term at finite window length n.
 
-    def z_integral(w):
-        c = params.beta * w ** (-params.gamma_prime)
-        # symmetric about n/2; geometric tail panels cover the power decay
-        edges = [n / 2.0, n, n + c]
-        width = c
-        while width < 64.0 * (n + c):
-            width *= 2.0
-            edges.append(n + width)
-        edges = np.asarray(edges)
-        nodes, wts = gl_panel(edges[:-1], edges[1:], order)
-        g = window_overlap_profile(params, nodes.ravel(), w, n, order).reshape(
-            nodes.shape
-        )
-        return 2.0 * float(np.sum(wts * g**power))
-
-    return improper_power_quad(
-        z_integral,
-        min(power * params.gamma_prime, 0.999),
-        rel_tolerance=rel_tolerance,
-        limit=limit,
-    )
+    g is symmetric about n/2, so z runs over _window_z_rule and counts
+    twice.  The w-axis has panel edges where c(w) = n and c(w) = n/2, at
+    least U_FLOOR.  Where c >= n/2 the z-integral grows like w^-gamma', and
+    where c < n/2 like w^-(power gamma'), so those panels are substituted
+    w = v^r with r = 4/(1 - gamma') and r = 4/(1 - power gamma'): either way
+    the integrand is about v^3.  One w-node is evaluated at a time.
+    """
+    gp = params.gamma_prime
+    if not power * gp < 1:
+        raise ValueError(f"power * gamma' must be < 1, got {power * gp}")
+    # below U_FLOOR the w-mass is negligible, and c(w) could overflow
+    w_n, w_half = np.maximum(_kink(params.beta, np.array([n, n / 2.0]), gp), U_FLOOR)
+    total = 0.0
+    for lo, hi, r in (
+        (0.0, w_n, 4.0 / (1.0 - gp)),
+        (w_n, w_half, 4.0 / (1.0 - gp)),
+        (w_half, 1.0, 4.0 / (1.0 - power * gp)),
+    ):
+        if hi <= lo:
+            continue
+        v, wv = gl_panel(lo ** (1.0 / r), hi ** (1.0 / r), PROFILE_W_ORDER)
+        for vk, wk in zip(v.ravel(), wv.ravel()):
+            w = vk**r
+            z, wz = _window_z_rule(n, params.beta * w ** (-gp))
+            g = window_overlap_profile(params, z, w, n)
+            total += wk * r * vk ** (r - 1.0) * float(wz @ g**power)
+    return 2.0 * float(total)
 
 
 def pair_spatial_limit_quad(params: ModelParams):
     """Per-unit-length limit of the shared-interaction spatial factor:
     integral over w of (integral over u of 2*rho(u, w) du)^2."""
-
-    def inner(w):
-        return improper_power_quad(
-            lambda u: 2.0
-            * params.beta
-            * u ** (-params.gamma)
-            * w ** (-params.gamma_prime),
-            params.gamma,
-        )
-
-    return improper_power_quad(lambda w: inner(w) ** 2, 2.0 * params.gamma_prime)
+    u, wu = power_rule(params.gamma)
+    w, ww = power_rule(2.0 * params.gamma_prime)
+    inner = 2.0 * params.beta * float(wu @ u ** (-params.gamma)) * w ** (-params.gamma_prime)
+    return float(ww @ inner**2)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +470,17 @@ def stable_mean(params: ModelParams, epsilon: float) -> float:
 
 def stable_mean_quad(params: ModelParams, epsilon: float) -> float:
     """Numeric twin of stable_mean: j-integral against the jump intensity
-    density times the numeric mean temporal factor."""
+    density times the numeric mean temporal factor.
+
+    The j-axis [a, inf) is mapped onto (0, 1] by j = a/u, dj = j^2/a du,
+    which makes the integrand a power of u of order 2 - 1/gamma < 1."""
     require_stable(params)
     g = params.gamma
     a = params.c_tilde * epsilon**g
     density = lambda j: params.c_tilde ** (1.0 / g) / g * j ** (-1.0 / g - 1.0)
-    jmass = quad_1d(lambda j: j * density(j), a, np.inf)
+    u, wu = power_rule(2.0 - 1.0 / g)
+    j = a / u
+    jmass = float(wu @ (j * density(j) * j * j / a))
     temporal = temporal_weighted_quad(lambda b, l: 0.5 - b, 0.5, lambda b: 0.5 - b)
     return jmass * temporal
 
@@ -511,7 +514,8 @@ def stable_band_variance_quad(params: ModelParams, eps_hi: float, eps_lo: float)
     require_stable(params)
     g = params.gamma
     density = lambda j: params.c_tilde ** (1.0 / g) / g * j ** (-1.0 / g - 1.0)
-    jmass = quad_1d(lambda j: j * j * density(j), eps_lo, eps_hi)
+    j, wj = log_rule(eps_lo, eps_hi)
+    jmass = float(wj @ (j * j * density(j)))
     t = 0.5
     temporal = temporal_weighted_quad(lambda b, l: (t - b) ** 2, t, lambda b: t - b)
     return jmass * temporal

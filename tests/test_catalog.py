@@ -15,15 +15,13 @@ from drchm.catalog import (
     EQUALITY_TOLERANCE,
     _chk_pm_chain_finite,
     _common_w_integral,
-    _log_u_rule,
     _pair_numeric,
     _pm_profile_inner,
-    _power_u_rule,
     _unit_tail,
 )
 from drchm.experiments import ExperimentConfig, run_oracle_report
 from drchm.model import ModelParams
-from drchm.oracles import gl_panel, half_line_rule
+from drchm.oracles import gl_panel, half_line_rule, log_rule, power_rule
 from drchm.rng import stream_generator
 
 
@@ -101,7 +99,7 @@ def _all_pairs_numeric(params, n, rule, m1, m2, m3):
     """_pair_numeric summed over every ordered node pair, with no symmetry."""
     u, wu = rule
     a = u ** (-params.gamma)
-    w, ww = _power_u_rule(params.gamma_prime)
+    w, ww = power_rule(params.gamma_prime)
     w_mass = float(np.sum(ww * w**-params.gamma_prime))
     f1 = wu * (2.0 * params.beta * a * w_mass) ** m1
     f2 = wu * (2.0 * params.beta * a * w_mass) ** m2
@@ -127,7 +125,7 @@ def _all_pairs_numeric(params, n, rule, m1, m2, m3):
 def test_pair_numeric_triangle_equals_all_pairs(gamma, gamma_prime, beta, ms, u_lo):
     # one mark rule passed twice takes each unordered node pair once
     params = ModelParams(beta=beta, gamma=gamma, gamma_prime=gamma_prime, n=10.0)
-    rule = _power_u_rule((1 + ms[0]) * gamma) if u_lo is None else _log_u_rule(u_lo)
+    rule = power_rule((1 + ms[0]) * gamma) if u_lo is None else log_rule(u_lo)
     m1, m2, m3 = ms
     value = _pair_numeric(params, 10.0, rule, rule, m1=m1, m2=m2, m3=m3)
     assert value == pytest.approx(

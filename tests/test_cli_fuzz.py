@@ -12,6 +12,8 @@ import io
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -118,3 +120,19 @@ def test_each_edge_value_alone(base):
 )
 def test_edge_value_combinations(base, overrides):
     _exits_cleanly(base, overrides)
+
+
+def test_tiny_gamma_validate_gaussian_is_silent():
+    # gamma = 1e-300 moves every kink of the finite-window pair oracle to
+    # u = 0 or 1; the run must succeed without a warning on stderr
+    data = _config("validate-gaussian", {"model.gamma": 1e-300})
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        argv = [data["kind"], "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")]
+        code = "import sys; from drchm.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

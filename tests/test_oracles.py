@@ -5,22 +5,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drchm import oracles
 from drchm.model import ModelParams, RegimeError
 from drchm.oracles import (
     CovarianceConstants,
     adjudicated_constants,
     alive_moment_quad,
+    gl_panel,
     half_line_rule,
-    improper_power_quad,
-    log_power_quad,
+    log_rule,
     mean_edge_count,
     oracle_covariance,
     oracle_variance,
     oracle_variance_terms,
+    pair_spatial_limit_quad,
+    power_rule,
     printed_covariance,
     printed_variance_limit,
-    quad_1d,
     spatial_moment_quad,
     spatial_size_quad,
     stable_band_variance,
@@ -30,26 +34,53 @@ from drchm.oracles import (
     temporal_pair_quad,
     temporal_profile_quad,
     window_overlap_profile,
+    window_pair_spatial_quad,
 )
 from drchm.sampler import _nu_tail, limit_jump_threshold
 
 
 class TestQuadrature:
-    def test_quad_1d_polynomial(self):
-        assert quad_1d(lambda x: 3 * x**2, 0.0, 2.0) == pytest.approx(8.0)
+    @pytest.mark.parametrize("p", [-1.5, 0.0, 0.2, 0.499, 0.9, 0.97, 0.98, 0.998, 0.9998])
+    def test_power_rule_exact_for_pure_powers(self, p):
+        # near p = 1 most of the mass of u^-p lies below the smallest double
+        u, wu = power_rule(p)
+        assert np.all(u > 0.0)
+        assert float(wu @ u**-p) == pytest.approx(1.0 / (1.0 - p), rel=1e-13)
 
-    def test_quad_1d_half_line(self):
-        assert quad_1d(lambda x: np.exp(-x), 0.0, np.inf) == pytest.approx(1.0)
+    @pytest.mark.parametrize("p", [-1.5, 0.0, 0.2, 0.499, 0.9, 0.97])
+    def test_power_rule_exact_for_polynomials_in_v(self, p):
+        # u^-p times powers of u^(1 - p) = v: exact up to degree 47 in v
+        u, wu = power_rule(p)
+        for k in range(1, 4):
+            exact = 1.0 / ((k + 1) * (1.0 - p))
+            assert float(wu @ u ** (k * (1.0 - p) - p)) == pytest.approx(exact, rel=1e-13)
 
-    def test_improper_power(self):
-        # int_0^1 u^-0.4 du = 1/0.6 despite the endpoint singularity
-        val = improper_power_quad(lambda u: u ** (-0.4), 0.4)
-        assert val == pytest.approx(1.0 / 0.6, rel=1e-10)
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9, 0.95])
+    def test_power_rule_is_the_plain_substitution(self, p):
+        # below p = 0.97 the nodes and weights are those of u = v^s on one
+        # 24-node panel, bit for bit
+        s = 1.0 / (1.0 - p)
+        v, wv = (a.ravel() for a in gl_panel(0.0, 1.0, 24))
+        u, wu = power_rule(p)
+        np.testing.assert_array_equal(u, v**s)
+        np.testing.assert_array_equal(wu, wv * s * v ** (s - 1.0))
 
-    def test_log_power(self):
-        val = log_power_quad(lambda u: u ** (-0.7), lo=0.01, hi=1.0)
-        exact = (1.0 - 0.01**0.3) / 0.3
-        assert val == pytest.approx(exact, rel=1e-10)
+    def test_power_rule_rejects_p_at_least_one(self):
+        with pytest.raises(ValueError):
+            power_rule(1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.01, 1.0), (1e-6, 1.0), (0.01, 0.1), (0.5, 3.0)])
+    def test_log_rule_exact_for_powers(self, lo, hi):
+        u, wu = log_rule(lo, hi)
+        for a in (-0.7, 0.0, 0.5, 2.0):
+            exact = (hi ** (1.0 + a) - lo ** (1.0 + a)) / (1.0 + a)
+            assert float(wu @ u**a) == pytest.approx(exact, rel=1e-12)
+
+    def test_log_rule_rejects_bad_range(self):
+        with pytest.raises(ValueError):
+            log_rule(0.0)
+        with pytest.raises(ValueError):
+            log_rule(0.5, 0.5)
 
     def test_half_line_rule_exp_moments(self):
         q, w = half_line_rule()
@@ -71,6 +102,107 @@ class TestQuadrature:
             g = window_overlap_profile(params, z, w, n)
         expected = np.maximum(np.minimum(z + c, n) - np.maximum(z - c, 0.0), 0.0)
         np.testing.assert_allclose(g, expected, rtol=1e-12, atol=0.0)
+
+
+def _mass_above(c, gamma, a, b):
+    """Integral over t in [a, b] (0 <= a <= b) of min(1, (c/t)^(1/gamma)),
+    the u-measure of {c u^-gamma > t}.  Above c it is written
+    gamma/(1-gamma) * c^(1/gamma) * lo^q * (-expm1(q * log1p((b-lo)/lo))),
+    q = 1 - 1/gamma, with c^(1/gamma) lo^q as lo (c/lo)^(1/gamma): the plain
+    difference of antiderivatives cancels completely where b - lo << lo."""
+    below = max(min(b, c) - a, 0.0)
+    lo = max(a, c)
+    if b <= lo:
+        return below
+    q = 1.0 - 1.0 / gamma
+    tail = -math.expm1(q * math.log1p((b - lo) / lo))
+    return below + gamma / (1.0 - gamma) * lo * (c / lo) ** (1.0 / gamma) * tail
+
+
+def _profile_closed_form(params, z, w, n):
+    """window_overlap_profile in closed form.  The overlap of [z - rho,
+    z + rho] with [0, n] grows at rate 1 in rho for each window end farther
+    than rho from z, so g(z) is _mass_above over the distances to the ends."""
+    c = params.beta * w ** (-params.gamma_prime)
+    if z < 0.0:
+        return _mass_above(c, params.gamma, -z, n - z)
+    if z <= n:
+        return _mass_above(c, params.gamma, 0.0, z) + _mass_above(c, params.gamma, 0.0, n - z)
+    return _mass_above(c, params.gamma, z - n, z)
+
+
+NEAR_0_OR_HALF = st.one_of(st.floats(1e-6, 0.02), st.floats(0.48, 0.4999))
+
+
+class TestWindowPair:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gamma=NEAR_0_OR_HALF,
+        gamma_prime=NEAR_0_OR_HALF,
+        beta=st.floats(0.1, 1.0),
+        log_n=st.floats(0.0, 4.0),
+        root_w=st.floats(1e-3, 1.0),
+        inside=st.floats(0.0, 1.0),
+        log_gap=st.floats(-3.0, 2.0),
+    )
+    def test_profile_matches_closed_form(
+        self, gamma, gamma_prime, beta, log_n, root_w, inside, log_gap
+    ):
+        # z inside the window and outside it on both sides, at distances
+        # scaled by c and by n
+        n = 10.0**log_n
+        w = root_w**3
+        params = ModelParams(beta=beta, gamma=gamma, gamma_prime=gamma_prime, n=n)
+        c = beta * w ** (-gamma_prime)
+        gap = 10.0**log_gap
+        z = np.array([inside * n, n / 2.0, n + c * gap, -c * gap, n + n * gap, -n * gap])
+        value = window_overlap_profile(params, z, w, n)
+        reference = np.array([_profile_closed_form(params, zk, w, n) for zk in z])
+        # far outside the profile falls below the smallest normal double
+        np.testing.assert_allclose(value, reference, rtol=1e-9, atol=1e-290)
+
+    def test_frozen_values(self):
+        # References computed with the closed-form profile above, integrated
+        # over z by adaptive quad split at the kinks (epsrel 1e-13) and over w
+        # by adaptive quad (epsrel 1e-12)
+        g20 = ModelParams(0.25, 0.2, 0.2, 20.0)
+        g500 = ModelParams(0.25, 0.2, 0.2, 500.0)
+        assert window_pair_spatial_quad(g20, 20.0) == pytest.approx(
+            12.797653642658164, rel=1e-9
+        )
+        assert window_pair_spatial_quad(g500, 500.0) == pytest.approx(
+            325.29761919393326, rel=1e-9
+        )
+
+    def test_w_rule_converged_near_half(self, monkeypatch):
+        # gamma' near 1/2 and a long window: most of the w-mass lies where
+        # c(w) < n/2, on the panel substituted for w^-2gamma'
+        params = ModelParams(0.25, 0.2, 0.45, 1e4)
+        value = window_pair_spatial_quad(params, 1e4)
+        monkeypatch.setattr(oracles, "PROFILE_W_ORDER", 64)
+        assert window_pair_spatial_quad(params, 1e4) == pytest.approx(value, rel=1e-10)
+
+    def test_window_correction_is_a_boundary_term(self):
+        # n * limit - pair(n) comes from the two window ends, so it settles
+        # to a constant as n grows instead of growing with n
+        corrections = []
+        for n in (20.0, 500.0, 5000.0):
+            params = ModelParams(0.25, 0.2, 0.2, n)
+            corrections.append(n * pair_spatial_limit_quad(params) - window_pair_spatial_quad(params, n))
+        assert corrections[1] == pytest.approx(corrections[0], rel=1e-2)
+        assert corrections[2] == pytest.approx(corrections[1], rel=1e-6)
+
+    def test_silent_at_tiny_exponents(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma, gamma_prime in ((1e-300, 0.2), (0.2, 1e-300)):
+                params = ModelParams(beta=0.25, gamma=gamma, gamma_prime=gamma_prime, n=20.0)
+                assert window_pair_spatial_quad(params, 20.0) > 0.0
+
+    def test_rejects_divergent_power(self):
+        params = ModelParams(beta=0.25, gamma=0.2, gamma_prime=0.4, n=20.0)
+        with pytest.raises(ValueError):
+            window_pair_spatial_quad(params, 20.0, power=2.5)
 
 
 # ordered time pairs t1 <= t2, the diagonal included
@@ -157,6 +289,13 @@ class TestMeanOracle:
     def test_invalid_range(self, params_g):
         with pytest.raises(ValueError):
             mean_edge_count(params_g, 0.5, 0.3)
+
+    def test_second_moment_near_half(self):
+        # oracle_variance needs the second moment up to gamma -> 1/2, where
+        # most of the mass of u^-2gamma lies below the smallest double
+        params = ModelParams(beta=0.25, gamma=0.499, gamma_prime=0.2, n=100.0)
+        exact = params.c_tilde**2 / (1.0 - 2.0 * params.gamma)
+        assert spatial_moment_quad(params, 2.0) == pytest.approx(exact, rel=1e-12)
 
     def test_spatial_size_quad(self, params_g):
         # closed form c_tilde u^-gamma against the quadrature

@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as sp_stats
 
 from drchm.model import ModelParams, RegimeError, TruncationError
-from drchm.oracles import quad_1d
 from drchm.sampler import (
     SamplerConfig,
     VertexSample,
@@ -136,7 +136,14 @@ class TestMissedEdgeBound:
             2.0
             * p.beta
             * 0.5 ** (-p.gamma)
-            * quad_1d(lambda w: w ** (-p.gamma_prime), 1e-300, w_min)
+            * integrate.quad(
+                lambda w: w ** (-p.gamma_prime),
+                1e-300,
+                w_min,
+                epsabs=1e-13,
+                epsrel=1e-8,
+                limit=200,
+            )[0]
             * 0.5
         )
         assert missed_edge_bound(p, vs, w_min) == pytest.approx(quad, rel=1e-6)
