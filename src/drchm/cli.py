@@ -8,14 +8,16 @@ validate-stable, validate-marks, oracle-report, sample-limit).  The config
 file is JSON following the ExperimentConfig schema; --seed, --workers and
 --out override the corresponding config entries.
 
-Exit codes: 0 on success, 2 on a configuration or parameter-regime error,
-3 when the interaction-weight truncation loses more edges than tolerated.
+Exit codes: 0 on success, 2 on a configuration or parameter-regime error or
+an output directory that cannot be created, 3 when the interaction-weight
+truncation loses more edges than tolerated.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
@@ -65,6 +67,12 @@ def main(argv=None) -> int:
         cfg = load_config(args)
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # made here, so that an unusable --out fails before any sampling starts
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         result = run_experiment(cfg)

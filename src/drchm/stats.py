@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy import special
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -113,8 +113,12 @@ def normality_statistic(samples) -> tuple[float, float, float]:
 
 
 def omnibus_threshold(level: float = 0.999) -> float:
-    """Quantile of the chi-squared(2) reference for the omnibus statistic."""
-    return float(sp_stats.chi2.ppf(level, 2))
+    """Quantile of the chi-squared(2) reference for the omnibus statistic.
+
+    chi-squared(2) is twice a Gamma(1) variable, so the quantile is twice the
+    inverse regularized lower incomplete gamma function at shape 1.
+    """
+    return float(2.0 * special.gammaincinv(1.0, level))
 
 
 def hill_tail_index(samples, k: int | None = None) -> tuple[float, float]:
@@ -141,9 +145,20 @@ def hill_tail_index(samples, k: int | None = None) -> tuple[float, float]:
 
 
 def ks_distance(samples_a, samples_b) -> float:
-    """Two-sample Kolmogorov-Smirnov sup-distance of the empirical CDFs."""
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
+    """Two-sample Kolmogorov-Smirnov sup-distance of the empirical CDFs.
+
+    Both empirical CDFs are evaluated, right-continuously, at every pooled
+    sample point, so ties are counted on both sides at once.
+    """
+    a = np.sort(np.asarray(samples_a, dtype=float))
+    b = np.sort(np.asarray(samples_b, dtype=float))
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both samples must be nonempty")
-    return float(sp_stats.ks_2samp(a, b, method="asymp").statistic)
+    both = np.concatenate([a, b])
+    if not np.isfinite(both).all():
+        raise ValueError("samples must be finite")
+    d = (
+        np.searchsorted(a, both, side="right") / len(a)
+        - np.searchsorted(b, both, side="right") / len(b)
+    )
+    return float(max(np.clip(-d.min(), 0, 1), d.max()))

@@ -548,5 +548,17 @@ class TestCLI:
         cfg = self._write(tmp_path, _base_config(kind=kind, replicates=3, **overrides))
         assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
+    @pytest.mark.parametrize("out", ["afile", "afile/sub", "x" * 300])
+    def test_unusable_out_dir_exit_two(self, tmp_path, capsys, monkeypatch, kind, out):
+        # an existing file, a path under a file, a name too long to create:
+        # one line on stderr, and the experiment never starts
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setattr("drchm.cli.run_experiment", lambda cfg: pytest.fail("ran"))
+        cfg = self._write(tmp_path, _base_config(kind=kind))
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory:") and err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

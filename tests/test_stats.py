@@ -1,10 +1,18 @@
 """Self-tests of the estimators against known distributions."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sp_stats
 
+import drchm
 from drchm.stats import (
     MomentSummary,
     cross_covariance,
@@ -101,6 +109,10 @@ class TestNormality:
     def test_threshold_value(self):
         assert omnibus_threshold(0.999) == pytest.approx(13.8155, abs=1e-3)
 
+    @pytest.mark.parametrize("level", [1e-10, 0.5, 0.9, 0.95, 0.99, 0.999, 0.9999])
+    def test_threshold_equals_scipy_chi2(self, level):
+        assert omnibus_threshold(level) == sp_stats.chi2.ppf(level, 2)
+
 
 class TestHill:
     def test_exact_pareto(self):
@@ -152,3 +164,48 @@ class TestKS:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_distance([], [1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ks_distance([0.0, bad, 1.0], [0.5, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            ks_distance([0.5, 2.0], [bad])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        sizes=st.tuples(st.integers(1, 300), st.integers(1, 300)),
+        tied=st.booleans(),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 7.5, 1e4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_scipy_ks_2samp(self, sizes, tied, scale, seed):
+        # bit-identical to scipy's statistic, in either argument order;
+        # rounding to a few integers makes ties within and across samples
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(sizes[0])
+        b = rng.standard_normal(sizes[1]) * scale
+        if tied:
+            a, b = np.round(a * 2), np.round(b * 2)
+        for x, y in ((a, b), (b, a)):
+            # scipy's p-value, unused here, divides by zero on tiny samples
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                expected = sp_stats.ks_2samp(x, y, method="asymp").statistic
+            assert ks_distance(x, y) == expected
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs more than half of a cold start; the package must not
+    # load it, directly or through another module, at import or when the two
+    # statistics that once used it run
+    code = (
+        "import sys, drchm, drchm.cli; from drchm import stats; "
+        "stats.ks_distance([0.0, 1.0], [0.5]); stats.omnibus_threshold(); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(drchm.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
