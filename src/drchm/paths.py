@@ -198,55 +198,36 @@ def _step_path_from_events(plus_times, minus_times, initial: float) -> StepPath:
     )
 
 
-def _count_events(edges: EdgeSet):
-    """The +1 and -1 event times in (0, 1] and the initial level of
-    edge_count_path."""
+def edge_count_path(edges: EdgeSet) -> StepPath:
+    """S(t) = number of edges with activation <= t < deactivation, t in
+    [0, 1]; an edge deactivating at or after 1 stays through 1."""
     act = edges.activation
     deact = edges.deactivation
     relevant = (act <= 1.0) & (deact >= 0.0) & (act <= deact)
     act = act[relevant]
     deact = deact[relevant]
     initial = float(np.sum(act <= 0.0) - np.sum(deact <= 0.0))
-    plus = act[act > 0.0]
-    minus = deact[(deact > 0.0) & (deact < 1.0)]
-    return plus, minus, initial
-
-
-def edge_count_path(edges: EdgeSet) -> StepPath:
-    """S(t) = number of edges with activation <= t < deactivation, t in
-    [0, 1]; an edge deactivating at or after 1 stays through 1."""
-    return _step_path_from_events(*_count_events(edges))
-
-
-def edge_count_path_at(edges: EdgeSet, t) -> np.ndarray:
-    """edge_count_path(edges)(t) without building the path.
-
-    The path's value at t is its initial level plus the +1 events at times
-    <= t minus the -1 events at times <= t, so two sorted counts give it
-    exactly, as floats equal to the path's values.
-    """
-    plus, minus, initial = _count_events(edges)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return (
-        initial
-        + np.searchsorted(np.sort(plus), t, side="right")
-        - np.searchsorted(np.sort(minus), t, side="right")
+    return _step_path_from_events(
+        act[act > 0.0], deact[(deact > 0.0) & (deact < 1.0)], initial
     )
 
 
-def edge_count_at(edges: EdgeSet, t) -> np.ndarray:
-    """Direct recount of the edges with activation <= t <= deactivation at
-    one or more times: the brute-force oracle for the path evaluators, which
-    agree with it at every t that is not an event time."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+def edge_count_at(edges: EdgeSet, t):
+    """edge_count_path(edges) at one or more times t in [0, 1], counted
+    directly: the edges with activation <= t < deactivation, where an edge
+    deactivating at or after 1 stays through 1 and one with activation >
+    deactivation never counts.  A scalar t gives a scalar, an array a float64
+    array."""
+    ok = edges.activation <= edges.deactivation
+    act = edges.activation[ok]
+    deact = edges.deactivation[ok]
+    stays = deact >= 1.0
+    times = np.asarray(t, dtype=float)
     counts = np.array(
-        [
-            np.sum((edges.activation <= ti) & (ti <= edges.deactivation))
-            for ti in t
-        ],
+        [np.count_nonzero((act <= ti) & ((ti < deact) | stays)) for ti in times.flat],
         dtype=float,
     )
-    return counts if len(counts) > 1 else counts[0]
+    return counts[0] if times.ndim == 0 else counts.reshape(times.shape)
 
 
 def pm_edge_count_paths(edges: EdgeSet) -> tuple[StepPath, StepPath]:
@@ -283,29 +264,8 @@ def mark_split_paths(
 
     low(t) + high(t) == S(t) for every t, since the edge set is partitioned.
     """
-    low, high = _split_by_mark(edges, vs, u_threshold)
-    return edge_count_path(low), edge_count_path(high)
-
-
-def mark_split_marginals(
-    edges: EdgeSet,
-    vs: VertexSample,
-    u_threshold: float,
-    t,
-) -> tuple[np.ndarray, StepPath]:
-    """The low path of mark_split_paths at times t, and the high path.
-
-    Equal to (low(t), high) for (low, high) = mark_split_paths(...).  The low
-    part is counted at t, not built; the high path is built because callers
-    also need its values over the whole horizon.
-    """
-    low, high = _split_by_mark(edges, vs, u_threshold)
-    return edge_count_path_at(low, t), edge_count_path(high)
-
-
-def _split_by_mark(edges: EdgeSet, vs: VertexSample, u_threshold: float):
-    low_mask = vs.u[edges.vertex_index] < u_threshold
-    return _subset(edges, low_mask), _subset(edges, ~low_mask)
+    low = vs.u[edges.vertex_index] < u_threshold
+    return edge_count_path(_subset(edges, low)), edge_count_path(_subset(edges, ~low))
 
 
 def _subset(edges: EdgeSet, mask: np.ndarray) -> EdgeSet:

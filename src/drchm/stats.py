@@ -101,10 +101,10 @@ def normality_statistic(samples) -> tuple[float, float, float]:
     n = len(x)
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
+    if x.min() == x.max():
+        raise ValueError("samples are constant; normality is undefined")
     dx = x - x.mean()
     m2 = float(np.mean(dx**2))
-    if m2 <= 0:
-        raise ValueError("samples are constant; normality is undefined")
     skew = float(np.mean(dx**3)) / m2**1.5
     kurt = float(np.mean(dx**4)) / m2**2 - 3.0
     skew_z = skew / math.sqrt(6.0 / n)

@@ -281,6 +281,20 @@ class TestEnsemble:
 
 
 class TestRunners:
+    def test_within_4se_false_without_a_finite_se(self, tmp_path):
+        # At 2 replicates no variance or covariance has an SE, so no record
+        # may claim agreement within 4 SE.
+        cfg = ExperimentConfig.from_dict(
+            _base_config(
+                kind="validate-gaussian", replicates=2, n_ladder=[20, 40],
+                out_dir=str(tmp_path),
+            )
+        )
+        records = run_validate_gaussian(cfg)["records"]
+        checked = [r for r in records if r["section"] in ("variance", "covariance")]
+        assert len(checked) == 3 + 6
+        assert not any(r["within_4se"] for r in checked)
+
     def test_validate_gaussian_small(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             _base_config(
@@ -559,6 +573,23 @@ class TestCLI:
         assert main([kind, "--config", cfg, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: output directory:") and err.count("\n") == 1
+
+    def test_constant_counts_have_no_normality(self, tmp_path):
+        # At n = 1e-6 every replicate counts 0 edges: the normality records
+        # carry no statistics and do not reject.
+        data = _base_config(
+            kind="validate-gaussian", replicates=100, n_ladder=[10, 20],
+            model={**_base_config()["model"], "n": 1e-6},
+        )
+        out = tmp_path / "out"
+        code = main(["validate-gaussian", "--config", self._write(tmp_path, data), "--out", str(out)])
+        assert code == 0
+        lines = [json.loads(l) for l in open(out / "validate_gaussian.jsonl")]
+        normality = [r for r in lines if r["section"] == "normality"]
+        assert len(normality) == 3
+        for r in normality:
+            assert r["skew_z"] is r["kurt_z"] is r["omnibus"] is None
+            assert r["reject"] is False
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -12,8 +12,6 @@ from drchm.paths import (
     build_edges_brute_force,
     edge_count_at,
     edge_count_path,
-    edge_count_path_at,
-    mark_split_marginals,
     mark_split_paths,
     pm_edge_count_paths,
 )
@@ -237,7 +235,7 @@ class TestEdgeCountPath:
         np.testing.assert_array_equal(path.values, [1.0, 2.0, 1.0])
         # deactivation at 0.5 removes the edge just after 0.5: active AT 0.5
         assert path(0.5) == 1.0
-        assert edge_count_at(edges, 0.5) == 2.0  # closed interval count
+        assert edge_count_at(edges, 0.5) == 1.0
 
     def test_empty(self):
         empty = EdgeSet(
@@ -256,12 +254,10 @@ class TestEdgeCountPath:
         inter = sample_interactions(p, scfg, vs, 0)
         edges = build_edges(p, vs, inter)
         path = edge_count_path(edges)
-        # direct recount agrees except exactly at deactivation times, where
-        # the cadlag path has already dropped; avoid event times
-        t = rng.uniform(0, 1, 100)
+        # the direct count equals the path everywhere, event times included
         event = np.concatenate([edges.activation, edges.deactivation])
-        t = t[np.min(np.abs(t[:, None] - event[None, :]), axis=1) > 1e-9]
-        np.testing.assert_allclose(path(t), edge_count_at(edges, t))
+        t = np.concatenate([rng.uniform(0, 1, 100), event[(event >= 0) & (event <= 1)]])
+        np.testing.assert_array_equal(edge_count_at(edges, t), path(t))
 
 
 class TestDecompositions:
@@ -359,18 +355,30 @@ class TestDecompositionProperties:
         assert np.all(low(grid) + high(grid) == path(grid))
 
 
-class TestCountOnlyMarginals:
+class TestEdgeCountAt:
     @PROPERTY
     @given(_split_instances())
-    def test_equals_mark_split_paths(self, instance):
-        edges, vs, thr, t = instance
-        low, high = mark_split_paths(edges, vs, thr)
-        low_at, high_path = mark_split_marginals(edges, vs, thr, t)
-        assert low_at.dtype == low(t).dtype
-        assert np.all(low_at == low(t))
-        assert np.all(high_path.times == high.times)
-        assert np.all(high_path.values == high.values)
-        assert np.all(edge_count_path_at(edges, t) == edge_count_path(edges)(t))
+    def test_equals_the_path(self, instance):
+        # At 0, at 1, at every event time clipped to [0, 1] and at the drawn
+        # times, with ties, act > deact and deaths <= 0 or >= 1.
+        edges, _, _, t = instance
+        path = edge_count_path(edges)
+        events = np.clip(np.concatenate([edges.activation, edges.deactivation]), 0.0, 1.0)
+        grid = np.concatenate([[0.0, 1.0], events, t])
+        counts = edge_count_at(edges, grid)
+        assert counts.dtype == np.float64 and counts.shape == grid.shape
+        assert np.all(counts == path(grid))
+        for ti in grid:
+            count = edge_count_at(edges, float(ti))
+            assert np.ndim(count) == 0 and count == path(ti)
+
+    def test_return_types(self):
+        edges = EdgeSet(np.array([0]), np.array([0]), np.array([0.2]), np.array([0.5]))
+        assert isinstance(edge_count_at(edges, 0.3), float)
+        for t in ([0.3], [0.1, 0.3, 0.5], []):
+            counts = edge_count_at(edges, np.array(t))
+            assert isinstance(counts, np.ndarray) and counts.dtype == np.float64
+            assert counts.shape == (len(t),)
 
     def test_hand_example(self):
         # Vertex 0 (low) carries three edges sharing death 0.5; vertex 1
@@ -386,10 +394,8 @@ class TestCountOnlyMarginals:
             deactivation=np.array([0.5, 0.5, 0.5, 1.0, 1.0]),
         )
         t = np.array([0.0, 0.25, 0.5, 1.0])
-        low_at, high = mark_split_marginals(edges, vs, 0.5, t)
+        low, high = mark_split_paths(edges, vs, 0.5)
         # the cadlag path has dropped vertex 0's edges at its death 0.5
-        np.testing.assert_array_equal(low_at, [1.0, 2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(low(t), [1.0, 2.0, 0.0, 0.0])
         np.testing.assert_array_equal(high(t), [0.0, 0.0, 1.0, 1.0])
-        low, _ = mark_split_paths(edges, vs, 0.5)
-        assert np.all(low_at == low(t))
-
+        np.testing.assert_array_equal(edge_count_at(edges, t), [1.0, 2.0, 1.0, 1.0])
