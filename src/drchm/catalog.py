@@ -49,6 +49,8 @@ BOUND_SLACK = 1e-6
 _CUTOFF = 36.0
 # Gauss nodes per panel of the pair-overlap w-integral.
 _OVERLAP_ORDER = 16
+# Most float64 values in one temporary of the pair-overlap kernel (64 KiB).
+_BLOCK_ELEMENTS = 8192  # at 128 KiB, glibc's mmap threshold, calls may get fresh zeroed pages
 
 
 @dataclass
@@ -185,11 +187,24 @@ def _pm_profile_inner(r, t1: float, t2: float, sign: str):
 def _common_w_integral(params: ModelParams, d, a1, a2):
     """Numeric integral over w in (0, 1] of the overlap of the two connection
     intervals at spatial distance d, with radii beta * ai * w^-gamma', for
-    each pair (a1[k], a2[k]).
+    each pair (a1[k], a2[k]).  Returns an array of shape (len(a1), len(d)).
+
+    The pairs are evaluated in blocks whose (pairs, len(d), nodes)
+    temporaries hold at most _BLOCK_ELEMENTS values (at least one pair per
+    block); each pair's value does not depend on the blocking.
+    """
+    out = np.empty((len(a1), len(d)))
+    step = max(1, _BLOCK_ELEMENTS // (len(d) * _OVERLAP_ORDER))
+    for lo in range(0, len(a1), step):
+        out[lo : lo + step] = _overlap_block(params, d, a1[lo : lo + step], a2[lo : lo + step])
+    return out
+
+
+def _overlap_block(params: ModelParams, d, a1, a2):
+    """_common_w_integral for one block of pairs, all at once.
 
     Substitutes w = v^(1/(1-gamma')) and places panel edges at the two kink
-    weights where rho1 + rho2 = d and |rho1 - rho2| = d.  Returns an array of
-    shape (len(a1), len(d)).
+    weights where rho1 + rho2 = d and |rho1 - rho2| = d.
     """
     gp = params.gamma_prime
     s = 1.0 / (1.0 - gp)

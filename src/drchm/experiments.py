@@ -185,6 +185,10 @@ class ExperimentConfig:
         error; an absent sampler section means SamplerConfig()."""
         if isinstance(data, dict):
             data = {"sampler": {}, **data}
+            model = data.get("model")
+            # the config's range for n, before ModelParams' wider [0, inf)
+            if isinstance(model, dict) and "n" in model:
+                check_number("model.n", model["n"], 0, MAX_WINDOW, hi_closed=True)
         return _build_strict(cls, data, "config", model=ModelParams, sampler=SamplerConfig)
 
     @classmethod

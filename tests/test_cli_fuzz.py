@@ -3,11 +3,14 @@ for a truncation loss), never with a traceback.
 
 Each case replaces one to three fields of a tiny, valid config with edge
 values: every single replacement is tried, and derandomized hypothesis draws
-the combinations.  oracle-report is left out: its fixed 20-draw lemma catalog
-takes tens of seconds per run.
+the combinations.  oracle-report gets only the single replacements, of the
+fields it reads, with its lemma catalog bound to one draw per check (the
+CLI's fixed 20 draws take tens of seconds per run); its runs must also be
+silent and write strict JSON.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -15,11 +18,14 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from drchm import experiments
+from drchm.catalog import lemma_catalog_check
 from drchm.cli import main
 
 GAUSS = {"beta": 0.25, "gamma": 0.2, "gamma_prime": 0.2, "n": 20.0}
@@ -44,6 +50,7 @@ BASES = {
     "sample-limit-gaussian": ("sample-limit", GAUSS, {"grid_points": 11}),
     "sample-limit-stable": ("sample-limit", STABLE, {"grid_points": 11, "epsilon": 0.1}),
 }
+ORACLE_BASES = {"oracle-report": ("oracle-report", GAUSS, {})}
 
 FIELDS = (
     "model.beta",
@@ -67,11 +74,21 @@ FIELDS = (
     "out_dir",
 )
 
+# The fields oracle-report reads.
+ORACLE_FIELDS = (
+    "model.beta",
+    "model.gamma",
+    "model.gamma_prime",
+    "model.n",
+    "sampler.master_seed",
+    "out_dir",
+)
+
 EDGE_VALUES = (0, -1, 1e300, 1e-300, math.nan, "x", True, [])
 
 
 def _config(base: str, overrides: dict) -> dict:
-    kind, model, extra = BASES[base]
+    kind, model, extra = {**BASES, **ORACLE_BASES}[base]
     data = {
         "model": dict(model),
         "sampler": {"master_seed": 5},
@@ -86,17 +103,25 @@ def _config(base: str, overrides: dict) -> dict:
     return data
 
 
-def _exits_cleanly(base: str, overrides: dict) -> None:
+def _exits_cleanly(base: str, overrides: dict) -> list[str]:
+    """Run the CLI on the config; returns the lines of every JSONL report."""
     data = _config(base, overrides)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = pathlib.Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(data))
-        argv = [data["kind"], "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "out")]
+        out = pathlib.Path(tmp) / "out"
+        argv = [data["kind"], "--config", str(cfg), "--out", str(out)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
+        lines = [line for p in sorted(out.glob("*.jsonl")) for line in p.read_text().splitlines()]
     assert code in (0, 2, 3), (overrides, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    return lines
+
+
+def _reject(token):
+    raise ValueError(f"non-strict JSON token {token}")
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
@@ -120,6 +145,20 @@ def test_each_edge_value_alone(base):
 )
 def test_edge_value_combinations(base, overrides):
     _exits_cleanly(base, overrides)
+
+
+def test_oracle_report_each_edge_value_alone(monkeypatch):
+    # the adjudication runs in full; only the catalog's draw count shrinks
+    monkeypatch.setattr(
+        experiments, "lemma_catalog_check", functools.partial(lemma_catalog_check, draws=1)
+    )
+    for field in ORACLE_FIELDS:
+        for value in EDGE_VALUES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lines = _exits_cleanly("oracle-report", {field: value})
+            for line in lines:
+                json.loads(line, parse_constant=_reject)
 
 
 def test_tiny_gamma_validate_gaussian_is_silent():

@@ -463,6 +463,18 @@ class TestCLI:
         data["model"]["n"] = 0
         self._exit_two_one_line(tmp_path, capsys, "simulate", data)
 
+    @pytest.mark.parametrize("n", [-1, float("nan"), "x", True, [], 0])
+    def test_invalid_window_has_the_config_message(self, tmp_path, capsys, n):
+        # one range and one message for every invalid model.n, not the
+        # library's wider [0, inf) for some values and the config's for 0
+        data = _base_config(replicates=1)
+        data["model"]["n"] = n
+        code = main(["simulate", "--config", self._write(tmp_path, data)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid configuration: model.n must be a number in (0, 1e+09], got {n!r}\n"
+        )
+
     @pytest.mark.parametrize("n", [1e300, 1e10])
     def test_huge_window_exit_two(self, tmp_path, capsys, n):
         data = _base_config(replicates=1)
