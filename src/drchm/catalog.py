@@ -200,43 +200,40 @@ def _common_w_integral(params: ModelParams, d, a1, a2):
     return out
 
 
+def _interval_overlap(r1, r2, d):
+    """Overlap length of intervals of radii r1, r2 with centres d >= 0 apart;
+    2 * min(r1, r2) in the nested range, where no radius cancels against d."""
+    ov = (r1 + r2) - d
+    np.minimum(ov, 2.0 * np.minimum(r1, r2), out=ov)
+    return np.maximum(ov, 0.0, out=ov)
+
+
 def _overlap_block(params: ModelParams, d, a1, a2):
     """_common_w_integral for one block of pairs, all at once.
 
     Substitutes w = v^(1/(1-gamma')) and places panel edges at the two kink
-    weights where rho1 + rho2 = d and |rho1 - rho2| = d.
+    weights where |rho1 - rho2| = d and rho1 + rho2 = d.  q = v^(s-1) is both
+    w^gamma' and, times s, the Jacobian dw/dv; as the overlap is homogeneous,
+    the integrand is s times the overlap of radii beta * ai at distance d * q.
+    It is constant on the nested panel, so one node is exact there; the
+    _OVERLAP_ORDER-node rule runs only on partial panels of positive width.
     """
     gp = params.gamma_prime
     s = 1.0 / (1.0 - gp)
-    A1 = a1[:, None]
-    A2 = a2[:, None]
-    D = d[None, :]
+    b1 = params.beta * a1[:, None]
+    b2 = params.beta * a2[:, None]
     with np.errstate(over="ignore"):
-        w_sum = np.minimum((params.beta * (A1 + A2) / D) ** (1.0 / gp), 1.0)
-        w_dif = np.minimum((params.beta * np.abs(A1 - A2) / D) ** (1.0 / gp), 1.0)
-    v_edges = (np.zeros_like(w_sum), w_dif ** (1.0 - gp), w_sum ** (1.0 - gp))
+        w_sum = np.minimum((params.beta * (a1 + a2)[:, None] / d) ** (1.0 / gp), 1.0)
+        w_dif = np.minimum((params.beta * np.abs(a1 - a2)[:, None] / d) ** (1.0 / gp), 1.0)
+    v_dif, v_sum = w_dif ** (1.0 - gp), w_sum ** (1.0 - gp)
+    out = _interval_overlap(b1, b2, d * (0.5 * v_dif) ** (s - 1.0)) * (s * v_dif)
+    live = np.nonzero(v_sum > v_dif)
+    half = 0.5 * (v_sum[live] - v_dif[live])
     x, wx = gauss_rule(_OVERLAP_ORDER)
-    b1 = (params.beta * A1)[..., None]
-    b2 = (params.beta * A2)[..., None]
-    D3 = D[..., None]
-    out = np.zeros(w_sum.shape)
-    for lo_e, hi_e in ((v_edges[0], v_edges[1]), (v_edges[1], v_edges[2])):
-        half = 0.5 * (hi_e - lo_e)
-        # q = v^(s-1) is both w^-gamma' (the radii are beta * ai / q) and,
-        # times s, the Jacobian dw/dv
-        q = lo_e[..., None] + half[..., None] * (x + 1.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.power(q, s - 1.0, out=q)
-            r1 = b1 / q
-            r2 = b2 / q
-            ov = np.minimum(r1, D3 + r2)
-            np.negative(r1, out=r1)
-            np.subtract(D3, r2, out=r2)
-            ov -= np.maximum(r1, r2, out=r1)
-            np.maximum(ov, 0.0, out=ov)
-            ov *= q
-            term = (ov @ wx) * (s * half)
-        out += np.where(hi_e > lo_e, term, 0.0)
+    q = (v_dif[live][:, None] + half[:, None] * (x + 1.0)) ** (s - 1.0)
+    q *= d[live[1]][:, None]
+    ov = _interval_overlap(b1[live[0]], b2[live[0]], q) * wx
+    out[live] += ov.sum(axis=1) * (s * half)
     return out
 
 

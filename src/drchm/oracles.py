@@ -37,10 +37,17 @@ U_FLOOR = 1e-100
 # quadrature building blocks
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: a cached rule is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def gauss_rule(order: int):
-    """Gauss-Legendre nodes/weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes/weights on [-1, 1], read-only."""
+    return _frozen(*np.polynomial.legendre.leggauss(order))
 
 
 def gl_panel(lo, hi, order: int):
@@ -55,9 +62,9 @@ def gl_panel(lo, hi, order: int):
 @lru_cache(maxsize=1)
 def half_line_rule():
     """Composite rule for integrals over [0, inf) of exponentially decaying
-    integrands.  Panels are geometrically graded near 0 (so integrands with
-    an algebraic endpoint singularity are still resolved) and unit-width out
-    to HALF_LINE_CUTOFF."""
+    integrands, read-only.  Panels are geometrically graded near 0 (so
+    integrands with an algebraic endpoint singularity are still resolved) and
+    unit-width out to HALF_LINE_CUTOFF."""
     edges = np.concatenate(
         [
             [0.0],
@@ -66,7 +73,7 @@ def half_line_rule():
         ]
     )
     nodes, weights = gl_panel(edges[:-1], edges[1:], HALF_LINE_ORDER)
-    return nodes.ravel(), weights.ravel()
+    return _frozen(nodes.ravel(), weights.ravel())
 
 
 def power_rule(p: float):

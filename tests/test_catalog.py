@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +283,78 @@ def test_overlap_blocks_fit_the_budget(monkeypatch):
     # 300 unordered and 576 ordered pairs of 24-node rules, on each of 15
     # distance panels of 16 nodes
     assert sum(p for p, d in shapes if d == 16) == 15 * (300 + 576)
+
+
+def _overlap_closed_form(params, d, a1, a2):
+    """Closed-form w-integral of the interval overlap, for reference only:
+    with A = beta (a1 + a2), B = beta |a1 - a2|, m = beta min(a1, a2),
+    p = 1 - gamma' and the kinks w+- = min((A or B / d)^(1/gamma'), 1), it
+    is 2m w-^p / p (nested) + A (w+^p - w-^p) / p - d (w+ - w-) (partial)."""
+    gp = params.gamma_prime
+    p = 1.0 - gp
+    a1, a2, d = a1[:, None], a2[:, None], d[None, :]
+    big = params.beta * (a1 + a2)
+    small = params.beta * np.abs(a1 - a2)
+    with np.errstate(over="ignore"):
+        w_plus = np.minimum((big / d) ** (1.0 / gp), 1.0)
+        w_minus = np.minimum((small / d) ** (1.0 / gp), 1.0)
+    nested = 2.0 * params.beta * np.minimum(a1, a2) * w_minus**p / p
+    return nested + big * (w_plus**p - w_minus**p) / p - d * (w_plus - w_minus)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    gamma_prime=st.floats(0.05, 0.9),
+    beta=st.floats(0.1, 1.0),
+    a_small=st.floats(1e-3, 10.0),
+    ratio=st.floats(1.5, 1e200),
+    frac=st.floats(1e-12, 0.99),
+)
+def test_common_w_integral_nested_matches_closed_form(gamma_prime, beta, a_small, ratio, frac):
+    # below d = beta |a1 - a2| both kinks clip to 1: the intervals are nested
+    # for every w, the partial panel is dead, and the one-node nested panel
+    # is exact, also for a radius far below d (a1 >> d >> a2)
+    params = ModelParams(beta=beta, gamma=0.3, gamma_prime=gamma_prime, n=10.0)
+    a1 = np.array([a_small * ratio, a_small])
+    a2 = np.array([a_small, a_small * ratio])
+    gap = beta * (a_small * ratio - a_small)
+    d = np.array([5e-324, 1e-300, 1e-6 * gap, frac * gap])
+    value = _common_w_integral(params, d, a1, a2)
+    reference = _overlap_closed_form(params, d, a1, a2)
+    assert np.all(reference > 0.0)
+    np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma_prime", [0.05, 0.9])
+def test_common_w_integral_edge_distances(gamma_prime):
+    # distances from the smallest subnormal to 1e300 and radii up to 1e200:
+    # every value is finite and >= 0, zero-width panels give 0, and nothing
+    # overflows or warns; where both kinks underflow the integral is 0
+    params = ModelParams(beta=0.5, gamma=0.3, gamma_prime=gamma_prime, n=10.0)
+    a = np.array([1e-3, 1.0, 1e200])
+    i, j = (k.ravel() for k in np.indices((3, 3)))
+    d = np.array([5e-324, 1e-300, 1e6, 1e300])
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        value = _common_w_integral(params, d, a[i], a[j])
+    assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
+    assert np.all(value[:, 0] > 0.0)
+    both_small = (a[i] < 1e200) & (a[j] < 1e200)
+    assert np.all(value[both_small, 3] == 0.0)
+
+
+@pytest.mark.parametrize("r1", [3.5e7, 1e10, 1e200])
+@pytest.mark.parametrize("r2", [1e-3, 2.2e-7, 1.3e-12])
+@pytest.mark.parametrize("d", [7.0, 300.0, 1e6])
+def test_interval_overlap_is_exact_when_nested(r1, r2, d):
+    # r2 << d << r1: the short interval lies inside the long one, and the
+    # overlap 2 r2 must not lose r2's digits against d
+    exact = min(Fraction(r1), Fraction(d) + Fraction(r2)) - max(
+        -Fraction(r1), Fraction(d) - Fraction(r2)
+    )
+    for a, b in ((r1, r2), (r2, r1)):
+        value = catalog._interval_overlap(np.array([a]), np.array([b]), np.array([d]))
+        assert value[0] == float(exact)
 
 
 def test_chain_finite_reference_is_finite():

@@ -89,6 +89,19 @@ class TestQuadrature:
                 math.factorial(k), rel=1e-10
             )
 
+    @pytest.mark.parametrize("rule", [lambda: oracles.gauss_rule(16), half_line_rule])
+    def test_cached_rules_are_read_only(self, rule):
+        # the rules are cached and shared, so one in-place write would
+        # corrupt every later quadrature
+        nodes, weights = rule()
+        saved = nodes.copy()
+        for a in (nodes, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+        np.testing.assert_array_equal(rule()[0], saved)
+
     def test_window_overlap_profile_tiny_gamma(self):
         # at gamma -> 0 every kink maps to u = 0 or 1 and rho is c for all u,
         # so the profile is the length of [z - c, z + c] inside [0, n]; the
