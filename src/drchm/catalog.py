@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy import special
@@ -31,6 +31,8 @@ from .model import (
     temporal_nbhd_size,
 )
 from .oracles import (
+    HALF_LINE_CUTOFF,
+    exp_tail,
     gauss_rule,
     gl_panel,
     half_line_rule,
@@ -38,6 +40,8 @@ from .oracles import (
     power_rule,
     spatial_moment_quad,
     spatial_size_quad,
+    stable_band_variance,
+    stable_mean,
     temporal_profile_quad,
     temporal_weighted_quad,
     window_pair_spatial_quad,
@@ -46,11 +50,8 @@ from .rng import stream_generator
 
 EQUALITY_TOLERANCE = 1e-6
 BOUND_SLACK = 1e-6
-_CUTOFF = 36.0
 # Gauss nodes per panel of the pair-overlap w-integral.
 _OVERLAP_ORDER = 16
-# Most float64 values in one temporary of the pair-overlap kernel (64 KiB).
-_BLOCK_ELEMENTS = 8192  # at 128 KiB, glibc's mmap threshold, calls may get fresh zeroed pages
 
 
 @dataclass
@@ -74,22 +75,6 @@ class CatalogRecord:
 # shared numeric building blocks
 
 
-@lru_cache(maxsize=1)
-def _unit_tail() -> float:
-    """Numeric integral of e^-q over [0, inf)."""
-    q, wq = half_line_rule()
-    return float(np.sum(wq * np.exp(-q)))
-
-
-def _exp_tail(lo):
-    """Numeric integral of e^-l over [lo, inf) for lo >= 0 (array-safe).
-
-    Shifting l = lo + q factorizes the integrand as e^-lo * e^-q; the unit
-    tail factor is itself computed by quadrature.
-    """
-    return np.exp(-np.asarray(lo, dtype=float)) * _unit_tail()
-
-
 def _powexp(alpha: float, lo, hi):
     """Integral of l^alpha * e^-l over [lo, hi] via the regularized lower
     incomplete gamma function (accurate for fractional alpha where a plain
@@ -100,7 +85,7 @@ def _powexp(alpha: float, lo, hi):
     return math.gamma(a) * (special.gammainc(a, hi) - special.gammainc(a, lo))
 
 
-def _line_rule(breaks=(), lo=0.0, hi=_CUTOFF, order=12):
+def _line_rule(breaks=(), lo=0.0, hi=HALF_LINE_CUTOFF, order=12):
     """Composite Gauss rule on [lo, hi] with unit-width panels plus panel
     edges at the given break points (kink locations of the integrand)."""
     edges = {float(lo), float(hi)}
@@ -136,7 +121,7 @@ def _pm_moment_numeric(alpha: float, t: float, sign: str) -> float:
     if sign == "minus":
         return float(np.sum(ws * _powexp(alpha, lo, s)))
     body = _powexp(alpha, lo, s)
-    tail = s**alpha * _exp_tail(s)
+    tail = s**alpha * exp_tail(s)
     return float(np.sum(ws * (body + tail)))
 
 
@@ -156,7 +141,7 @@ def _pm_difference_moment_numeric(
     if sign == "minus":
         return float(np.sum(ws * _powexp(m, shift, s)))
     body = np.exp(-shift) * _powexp(m, 0.0 * s, s - shift)
-    tail = np.minimum(s, delta) ** m * _exp_tail(s)
+    tail = np.minimum(s, delta) ** m * exp_tail(s)
     return float(np.sum(ws * (body + tail)))
 
 
@@ -170,34 +155,18 @@ def _pm_profile_inner(r, t1: float, t2: float, sign: str):
         # t1 < r <= t2; there the conditions reduce to b <= r <= b + l
         s, ws = half_line_rule()
         lo = np.maximum(s, s - r[..., None])
-        val = np.sum(ws * _exp_tail(lo), axis=-1)
+        val = np.sum(ws * exp_tail(lo), axis=-1)
         return np.where((r > t1) & (r <= t2), val, 0.0)
     # the l-panel is [s + c, s + c + width] with c and width free of s, so
     # e^-l factors into e^-s, whose half-line sum is the unit tail, times
     # one panel sum per r
     c = np.maximum(np.maximum(t1 - r, -r), 0.0)
     nodes, wts = gl_panel(c, c + np.maximum(t2 - r - c, 0.0), 12)
-    return np.sum(wts * np.exp(-nodes), axis=-1) * _unit_tail()
+    return np.sum(wts * np.exp(-nodes), axis=-1) * exp_tail(0.0)
 
 
 # ---------------------------------------------------------------------------
 # spatial helpers for pair integrals over the window
-
-
-def _common_w_integral(params: ModelParams, d, a1, a2):
-    """Numeric integral over w in (0, 1] of the overlap of the two connection
-    intervals at spatial distance d, with radii beta * ai * w^-gamma', for
-    each pair (a1[k], a2[k]).  Returns an array of shape (len(a1), len(d)).
-
-    The pairs are evaluated in blocks whose (pairs, len(d), nodes)
-    temporaries hold at most _BLOCK_ELEMENTS values (at least one pair per
-    block); each pair's value does not depend on the blocking.
-    """
-    out = np.empty((len(a1), len(d)))
-    step = max(1, _BLOCK_ELEMENTS // (len(d) * _OVERLAP_ORDER))
-    for lo in range(0, len(a1), step):
-        out[lo : lo + step] = _overlap_block(params, d, a1[lo : lo + step], a2[lo : lo + step])
-    return out
 
 
 def _interval_overlap(r1, r2, d):
@@ -208,8 +177,10 @@ def _interval_overlap(r1, r2, d):
     return np.maximum(ov, 0.0, out=ov)
 
 
-def _overlap_block(params: ModelParams, d, a1, a2):
-    """_common_w_integral for one block of pairs, all at once.
+def _common_w_integral(params: ModelParams, d, a1, a2):
+    """Numeric integral over w in (0, 1] of the overlap of the two connection
+    intervals at spatial distance d, with radii beta * ai * w^-gamma', for
+    each pair (a1[k], a2[k]).  Returns an array of shape (len(a1), len(d)).
 
     Substitutes w = v^(1/(1-gamma')) and places panel edges at the two kink
     weights where |rho1 - rho2| = d and rho1 + rho2 = d.  q = v^(s-1) is both
@@ -217,23 +188,29 @@ def _overlap_block(params: ModelParams, d, a1, a2):
     the integrand is s times the overlap of radii beta * ai at distance d * q.
     It is constant on the nested panel, so one node is exact there; the
     _OVERLAP_ORDER-node rule runs only on partial panels of positive width.
+    One distance is evaluated at a time, for all pairs at once.
     """
     gp = params.gamma_prime
     s = 1.0 / (1.0 - gp)
-    b1 = params.beta * a1[:, None]
-    b2 = params.beta * a2[:, None]
-    with np.errstate(over="ignore"):
-        w_sum = np.minimum((params.beta * (a1 + a2)[:, None] / d) ** (1.0 / gp), 1.0)
-        w_dif = np.minimum((params.beta * np.abs(a1 - a2)[:, None] / d) ** (1.0 / gp), 1.0)
-    v_dif, v_sum = w_dif ** (1.0 - gp), w_sum ** (1.0 - gp)
-    out = _interval_overlap(b1, b2, d * (0.5 * v_dif) ** (s - 1.0)) * (s * v_dif)
-    live = np.nonzero(v_sum > v_dif)
-    half = 0.5 * (v_sum[live] - v_dif[live])
+    b1 = params.beta * a1
+    b2 = params.beta * a2
+    b_sum = params.beta * (a1 + a2)
+    b_dif = params.beta * np.abs(a1 - a2)
     x, wx = gauss_rule(_OVERLAP_ORDER)
-    q = (v_dif[live][:, None] + half[:, None] * (x + 1.0)) ** (s - 1.0)
-    q *= d[live[1]][:, None]
-    ov = _interval_overlap(b1[live[0]], b2[live[0]], q) * wx
-    out[live] += ov.sum(axis=1) * (s * half)
+    out = np.empty((len(a1), len(d)))
+    for k, dk in enumerate(d):
+        with np.errstate(over="ignore"):
+            w_sum = np.minimum((b_sum / dk) ** (1.0 / gp), 1.0)
+            w_dif = np.minimum((b_dif / dk) ** (1.0 / gp), 1.0)
+        v_dif, v_sum = w_dif ** (1.0 - gp), w_sum ** (1.0 - gp)
+        col = _interval_overlap(b1, b2, dk * (0.5 * v_dif) ** (s - 1.0)) * (s * v_dif)
+        live = np.nonzero(v_sum > v_dif)[0]
+        half = 0.5 * (v_sum[live] - v_dif[live])
+        q = (v_dif[live][:, None] + half[:, None] * (x + 1.0)) ** (s - 1.0)
+        q *= dk
+        ov = _interval_overlap(b1[live][:, None], b2[live][:, None], q) * wx
+        col[live] += ov.sum(axis=1) * (s * half)
+        out[:, k] = col
     return out
 
 
@@ -457,15 +434,15 @@ def _chk_temporal_profile(rng):
 def _chk_temporal_moment(rng):
     alpha = float(rng.uniform(0.2, 4.0))
     t = float(rng.uniform(0.0, 1.0))
-    num = temporal_weighted_quad(lambda b, l: (t - b) ** alpha, t, lambda b: t - b)
+    num = temporal_weighted_quad(lambda b: (t - b) ** alpha, t, lambda b: t - b)
     yield num, math.gamma(alpha + 1.0)
 
 
 def _profile_power_integral(alpha: float, t: float) -> float:
     """Numeric integral over r of the activity profile at t raised to alpha,
     which at lag a is e^-a times the birth and residual half-line masses."""
-    base = _unit_tail() ** 2
-    extent = max(_CUTOFF, 32.0 / alpha)
+    base = exp_tail(0.0) ** 2
+    extent = max(HALF_LINE_CUTOFF, 32.0 / alpha)
     r, wr = _line_rule(lo=t - extent, hi=t)
     return float(np.sum(wr * (np.exp(-(t - r)) * base) ** alpha))
 
@@ -490,8 +467,8 @@ def _chk_temporal_chain_bound(rng):
     s1 = s[:, None]
     s2 = s[None, :]
     cap = np.clip(min(t1, t2) - np.maximum(t1 - s1, t2 - s2), 0.0, None)
-    f1 = ws * s**a1 * _exp_tail(s)
-    f2 = ws * s**a2 * _exp_tail(s)
+    f1 = ws * s**a1 * exp_tail(s)
+    f2 = ws * s**a2 * exp_tail(s)
     num = float((f1[:, None] * f2[None, :] * cap).sum())
     yield num, math.gamma(a1 + 1.0) * math.gamma(a2 + 2.0)
 
@@ -572,7 +549,7 @@ def _chk_pm_difference_profile_plus(rng):
 def _chk_pm_difference_profile_minus_bound(rng):
     t1, t2 = _time_pair(rng)
     m = int(rng.integers(1, 4))
-    r, wr = _line_rule(breaks=[0.0, t1], lo=t2 - _CUTOFF, hi=t2)
+    r, wr = _line_rule(breaks=[0.0, t1], lo=t2 - HALF_LINE_CUTOFF, hi=t2)
     inner = _pm_profile_inner(r, t1, t2, "minus")
     yield float(np.sum(wr * inner**m)), t2 - t1
 
@@ -580,7 +557,7 @@ def _chk_pm_difference_profile_minus_bound(rng):
 def _chk_pm_cap_integral(rng, sign):
     t = float(rng.uniform(0.1, 1.0))
     m = int(rng.integers(1, 4))
-    r, wr = _line_rule(breaks=[0.0], lo=t - _CUTOFF, hi=t)
+    r, wr = _line_rule(breaks=[0.0], lo=t - HALF_LINE_CUTOFF, hi=t)
     inner = _pm_profile_inner(r, -math.inf, t, sign)
     yield float(np.sum(wr * inner**m)), 1.0 / m + t
 
@@ -598,6 +575,50 @@ def _chk_pm_chain_finite(rng):
         a2 + 1.0, t2, sign
     )
     yield num, _pm_moment_bound(a1, t1) * _pm_moment_bound(a2 + 1.0, t2)
+
+
+def _jump_density(params: ModelParams, j):
+    """The stable limit's jump intensity density c_tilde^(1/gamma) / gamma *
+    j^(-1/gamma - 1)."""
+    g = params.gamma
+    return params.c_tilde ** (1.0 / g) / g * j ** (-1.0 / g - 1.0)
+
+
+def _stable_mean_numeric(params: ModelParams, epsilon: float) -> float:
+    """Numeric side of oracles.stable_mean: the first jump moment above the
+    truncation threshold a = c_tilde * epsilon^gamma, times the mean age of
+    an alive point.
+
+    The j-axis [a, inf) is mapped onto (0, 1] by j = a/u, dj = j^2/a du,
+    which makes the integrand a power of u of order 2 - 1/gamma < 1."""
+    a = params.c_tilde * epsilon**params.gamma
+    u, wu = power_rule(2.0 - 1.0 / params.gamma)
+    j = a / u
+    jmass = float(wu @ (j * _jump_density(params, j) * j * j / a))
+    age = temporal_weighted_quad(lambda b: 0.5 - b, 0.5, lambda b: 0.5 - b)
+    return jmass * age
+
+
+def _stable_band_variance_numeric(params: ModelParams, eps_hi: float, eps_lo: float) -> float:
+    """Numeric side of oracles.stable_band_variance: the second jump moment
+    over the raw jump sizes [eps_lo, eps_hi), times the mean squared age of
+    an alive point."""
+    j, wj = log_rule(eps_lo, eps_hi)
+    jmass = float(wj @ (j * j * _jump_density(params, j)))
+    age2 = temporal_weighted_quad(lambda b: (0.5 - b) ** 2, 0.5, lambda b: 0.5 - b)
+    return jmass * age2
+
+
+def _chk_stable_mean(rng):
+    p = _draw_params(rng, g=(0.55, 0.95))
+    epsilon = float(10.0 ** rng.uniform(-3.0, 0.0))
+    yield _stable_mean_numeric(p, epsilon), stable_mean(p, epsilon)
+
+
+def _chk_stable_band_variance(rng):
+    p = _draw_params(rng, g=(0.55, 0.95))
+    eps_lo, eps_hi = sorted(float(v) for v in 10.0 ** rng.uniform(-3.0, 0.0, size=2))
+    yield _stable_band_variance_numeric(p, eps_hi, eps_lo), stable_band_variance(p, eps_hi, eps_lo)
 
 
 _CHECKS = [
@@ -655,6 +676,8 @@ _CHECKS = [
         partial(_chk_pm_cap_integral, sign="minus"),
     ),
     ("pm-chain-finite", "bound", _chk_pm_chain_finite),
+    ("stable-mean", "equality", _chk_stable_mean),
+    ("stable-band-variance", "equality", _chk_stable_band_variance),
 ]
 
 

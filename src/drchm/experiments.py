@@ -370,16 +370,16 @@ def _decreasing(values) -> bool:
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Per-replicate marginals (and optional path CSVs) plus a summary."""
-    report, *path_files = _outputs(
-        cfg, "simulate_summary.jsonl",
-        *(f"replicate_{rep:06d}.csv" for rep in range(cfg.replicates)),
-    )
+    [report] = _outputs(cfg, "simulate_summary.jsonl")
     center, scale = normalization(cfg.model)
+
+    def path_file(rep: int) -> str:
+        return os.path.join(cfg.out_dir, f"replicate_{rep:06d}.csv")
 
     def replicate(rep: int) -> dict:
         _, interactions, edges = _sample_edges(cfg.model, cfg.sampler, rep)
         if cfg.write_paths:
-            edge_count_path(edges).to_csv(path_files[rep])
+            edge_count_path(edges).to_csv(path_file(rep))
         counts = edge_count_at(edges, cfg.eval_times)
         return {
             "replicate": rep,
@@ -407,7 +407,8 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
         ),
     }
     write_jsonl(report, records + [summary])
-    return {"report": report, "paths": path_files if cfg.write_paths else [], "summary": summary}
+    paths = [path_file(rep) for rep in range(cfg.replicates)] if cfg.write_paths else []
+    return {"report": report, "paths": paths, "summary": summary}
 
 
 def run_validate_gaussian(cfg: ExperimentConfig) -> dict:

@@ -1,11 +1,13 @@
 """Closed-form moment constants and independent quadrature oracles.
 
-Every closed-form moment used by the validation experiments has a numeric
-twin here, obtained by integrating the defining intensity integrals with
-fixed composite Gauss-Legendre rules.  The numeric values are the
-binding ground truth: where closed-form candidates disagree with each other,
-experiments compare against the integrals and report which (if any) closed
-form they reproduce.
+The Gaussian-regime moments used by the validation experiments are computed
+here by integrating the defining intensity integrals with fixed composite
+Gauss-Legendre rules.  The numeric values are the binding ground truth:
+where closed-form candidates disagree with each other, experiments compare
+against the integrals and report which (if any) closed form they reproduce.
+The stable-regime closed forms (stable_mean, stable_band_variance) have
+their numeric sides in the lemma catalog, as the records stable-mean and
+stable-band-variance.
 """
 
 from __future__ import annotations
@@ -236,25 +238,41 @@ def pair_spatial_limit_quad(params: ModelParams):
 # temporal integrals
 
 
-def temporal_weighted_quad(f, b_hi, l_lo_of_b):
-    """Integral over b in (-inf, b_hi], l in [l_lo(b), inf) of e^-l f(b, l).
+@lru_cache(maxsize=1)
+def _unit_tail() -> float:
+    """Numeric integral of e^-q over [0, inf) on half_line_rule."""
+    q, wq = half_line_rule()
+    return float(np.sum(wq * np.exp(-q)))
 
-    Both axes run on half_line_rule, with b = b_hi - y and l = l_lo(b) + q;
-    f and l_lo_of_b take arrays.
+
+def exp_tail(lo):
+    """Numeric integral of e^-l over [lo, inf) for lo >= 0 (array-safe): the
+    lifetime tail of every temporal integral.
+
+    Shifting l = lo + q factorizes the integrand as e^-lo * e^-q; the unit
+    tail factor is itself computed by quadrature.
+    """
+    return np.exp(-np.asarray(lo, dtype=float)) * _unit_tail()
+
+
+def temporal_weighted_quad(f, b_hi, l_lo_of_b):
+    """Integral over b in (-inf, b_hi], l in [l_lo(b), inf) of e^-l f(b).
+
+    The l-integral is exp_tail(l_lo(b)), so only the b-axis is summed, on
+    half_line_rule with b = b_hi - y; f and l_lo_of_b take arrays.
     """
     s, ws = half_line_rule()
-    b = b_hi - s[:, None]
-    l = l_lo_of_b(b) + s
-    return float(ws @ (np.exp(-l) * f(b, l)) @ ws)
+    b = b_hi - s
+    return float(ws @ (f(b) * exp_tail(l_lo_of_b(b))))
 
 
 def alive_moment_quad(t1: float, t2: float, k: int):
     """Integral of (t1-b)^a (t2-b)^b over vertices alive on [t1, t2]
     (b <= t1 <= t2 <= b + l), with (a, b) = (1, 0) for k=1, (1, 1) for k=2."""
     if k == 1:
-        f = lambda b, l: t1 - b
+        f = lambda b: t1 - b
     elif k == 2:
-        f = lambda b, l: (t1 - b) * (t2 - b)
+        f = lambda b: (t1 - b) * (t2 - b)
     else:
         raise ValueError(f"k must be 1 or 2, got {k}")
     return temporal_weighted_quad(f, t1, lambda b: t2 - b)
@@ -265,13 +283,13 @@ def temporal_profile_quad(r, t: float):
     yields an edge active at t: integral of e^-l over {b <= r, l >= t - b}.
     Vectorized over r; zero for r > t.
 
-    With b = r - y and l = (t - b) + q the integrand factors into e^-(t-b)
-    times the unit tail integral of e^-q, both summed on half_line_rule.
+    With b = r - y the l-integral is exp_tail(t - b) = e^-(t-b) times the
+    unit tail exp_tail(0), which factors out of the y-sum on half_line_rule.
     """
     s, ws = half_line_rule()
     gap = t - np.asarray(r, dtype=float)
     body = np.exp(-(np.maximum(gap, 0.0)[..., None] + s)) @ ws
-    out = np.where(gap >= 0.0, body * (ws @ np.exp(-s)), 0.0)
+    out = np.where(gap >= 0.0, body * exp_tail(0.0), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -475,23 +493,6 @@ def stable_mean(params: ModelParams, epsilon: float) -> float:
     )
 
 
-def stable_mean_quad(params: ModelParams, epsilon: float) -> float:
-    """Numeric twin of stable_mean: j-integral against the jump intensity
-    density times the numeric mean temporal factor.
-
-    The j-axis [a, inf) is mapped onto (0, 1] by j = a/u, dj = j^2/a du,
-    which makes the integrand a power of u of order 2 - 1/gamma < 1."""
-    require_stable(params)
-    g = params.gamma
-    a = params.c_tilde * epsilon**g
-    density = lambda j: params.c_tilde ** (1.0 / g) / g * j ** (-1.0 / g - 1.0)
-    u, wu = power_rule(2.0 - 1.0 / g)
-    j = a / u
-    jmass = float(wu @ (j * density(j) * j * j / a))
-    temporal = temporal_weighted_quad(lambda b, l: 0.5 - b, 0.5, lambda b: 0.5 - b)
-    return jmass * temporal
-
-
 def stable_band_variance(params: ModelParams, eps_hi: float, eps_lo: float) -> float:
     """Variance of the limit process restricted to jump sizes in
     [eps_lo, eps_hi), at any fixed time:
@@ -514,15 +515,3 @@ def stable_band_variance(params: ModelParams, eps_hi: float, eps_lo: float) -> f
         / (2.0 * g - 1.0)
         * (eps_hi ** (2.0 - 1.0 / g) - eps_lo ** (2.0 - 1.0 / g))
     )
-
-
-def stable_band_variance_quad(params: ModelParams, eps_hi: float, eps_lo: float) -> float:
-    """Numeric twin of stable_band_variance."""
-    require_stable(params)
-    g = params.gamma
-    density = lambda j: params.c_tilde ** (1.0 / g) / g * j ** (-1.0 / g - 1.0)
-    j, wj = log_rule(eps_lo, eps_hi)
-    jmass = float(wj @ (j * j * density(j)))
-    t = 0.5
-    temporal = temporal_weighted_quad(lambda b, l: (t - b) ** 2, t, lambda b: t - b)
-    return jmass * temporal

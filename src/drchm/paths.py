@@ -63,13 +63,6 @@ class StepPath:
     def to_csv(self, path) -> None:
         _write_csv(path, self.times, self.values)
 
-    @classmethod
-    def from_csv(cls, path) -> "StepPath":
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-        return cls(data[:, 0], data[:, 1])
-
 
 def _write_csv(path, times, values) -> None:
     """(t, value) rows under a header, floats in shortest round-trip form."""
@@ -198,18 +191,26 @@ def _step_path_from_events(plus_times, minus_times, initial: float) -> StepPath:
     )
 
 
+def _pm_events(edges: EdgeSet):
+    """The events of S = plus - minus, over the edges with activation <=
+    deactivation: the activations in (0, 1] with the count at or before 0,
+    and the deactivations in (0, 1) with the count at or before 0."""
+    ok = edges.activation <= edges.deactivation
+    act = edges.activation[ok]
+    deact = edges.deactivation[ok]
+    return (
+        act[(act > 0.0) & (act <= 1.0)],
+        float(np.sum(act <= 0.0)),
+        deact[(deact > 0.0) & (deact < 1.0)],
+        float(np.sum(deact <= 0.0)),
+    )
+
+
 def edge_count_path(edges: EdgeSet) -> StepPath:
     """S(t) = number of edges with activation <= t < deactivation, t in
     [0, 1]; an edge deactivating at or after 1 stays through 1."""
-    act = edges.activation
-    deact = edges.deactivation
-    relevant = (act <= 1.0) & (deact >= 0.0) & (act <= deact)
-    act = act[relevant]
-    deact = deact[relevant]
-    initial = float(np.sum(act <= 0.0) - np.sum(deact <= 0.0))
-    return _step_path_from_events(
-        act[act > 0.0], deact[(deact > 0.0) & (deact < 1.0)], initial
-    )
+    ups, up0, downs, down0 = _pm_events(edges)
+    return _step_path_from_events(ups, downs, up0 - down0)
 
 
 def edge_count_at(edges: EdgeSet, t):
@@ -238,21 +239,9 @@ def pm_edge_count_paths(edges: EdgeSet) -> tuple[StepPath, StepPath]:
     death at 1 counts only after the horizon.  Both are nondecreasing and the
     difference recovers the edge count.
     """
-    act = edges.activation
-    deact = edges.deactivation
-    ok = act <= deact
-    act = act[ok]
-    deact = deact[ok]
-
-    plus = _step_path_from_events(
-        act[(act > 0.0) & (act <= 1.0)], np.array([]), float(np.sum(act <= 0.0))
-    )
-    minus = _step_path_from_events(
-        deact[(deact > 0.0) & (deact < 1.0)],
-        np.array([]),
-        float(np.sum(deact <= 0.0)),
-    )
-    return plus, minus
+    ups, up0, downs, down0 = _pm_events(edges)
+    none = np.array([])
+    return _step_path_from_events(ups, none, up0), _step_path_from_events(downs, none, down0)
 
 
 def mark_split_paths(

@@ -101,14 +101,6 @@ class LimitPointSample:
     def death(self) -> np.ndarray:
         return self.b + self.l
 
-    def superpose(self, other: "LimitPointSample") -> "LimitPointSample":
-        """The union of two independent point sets, self's points first."""
-        return LimitPointSample(
-            j=np.concatenate([self.j, other.j]),
-            b=np.concatenate([self.b, other.b]),
-            l=np.concatenate([self.l, other.l]),
-        )
-
 
 def sample_vertices(
     params: ModelParams, cfg: SamplerConfig, stream: int = 0
@@ -308,24 +300,3 @@ def _jump_sizes(params: ModelParams, j_lo: float, j_hi: float, v: np.ndarray) ->
     hi_mass = _nu_tail(params, j_hi)
     return params.c_tilde * (hi_mass + v * (lo_mass - hi_mass)) ** (-params.gamma)
 
-
-def sample_vertices_burn_in(
-    params: ModelParams,
-    cfg: SamplerConfig,
-    stream: int = 0,
-    start: float = -20.0,
-) -> VertexSample:
-    """Forward simulation from a deep negative start time; test oracle.
-
-    Births are Poisson on [start, 1] x [0, n]; the sample keeps the vertices
-    alive at some point of [0, 1].  With start << 0 this approximates the
-    stationary law that sample_vertices produces exactly.
-    """
-    rng = stream_generator(cfg.master_seed, stream)
-    total = rng.poisson(params.n * (1.0 - start))
-    b = rng.uniform(start, 1.0, size=total)
-    l = rng.exponential(size=total)
-    keep = b + l >= 0.0
-    x = rng.uniform(0.0, params.n, size=total)
-    u = 1.0 - rng.random(size=total)
-    return VertexSample(x=x[keep], u=u[keep], b=b[keep], l=l[keep])

@@ -16,20 +16,18 @@ from drchm.catalog import (
     BOUND_SLACK,
     EQUALITY_TOLERANCE,
     _chk_pm_chain_finite,
-    _chk_spatial_pair_size_bound,
     _common_w_integral,
     _pair_numeric,
     _pm_profile_inner,
-    _unit_tail,
 )
 from drchm.experiments import ExperimentConfig, run_oracle_report
 from drchm.model import ModelParams
-from drchm.oracles import gl_panel, half_line_rule, log_rule, power_rule
+from drchm.oracles import exp_tail, gl_panel, half_line_rule, log_rule, power_rule
 from drchm.rng import stream_generator
 
 
 def test_catalog_complete(catalog_records):
-    assert len(catalog_records) == 26
+    assert len(catalog_records) == 28
     kinds = {r.kind for r in catalog_records}
     assert kinds == {"equality", "bound"}
 
@@ -177,7 +175,7 @@ def test_minus_profile_narrow_panels(width):
     t1 = t2 - width
     value = _pm_profile_inner(r, t1, t2, "minus")
     c = np.maximum(t1 - r, 0.0)
-    expected = np.exp(-c) * -np.expm1(-width) * _unit_tail()
+    expected = np.exp(-c) * -np.expm1(-width) * exp_tail(0.0)
     np.testing.assert_allclose(value, expected, rtol=1e-13, atol=0.0)
 
 
@@ -227,9 +225,9 @@ def test_common_w_integral_one_power(gamma_prime, beta, a, far):
     np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
 
 
-def _overlap_pairs(shared, count):
-    """count (a1, a2) pairs as _pair_numeric forms them: the unordered node
-    pairs of one mark rule, or every pair of two distinct rules."""
+def _overlap_pairs(shared):
+    """(a1, a2) pairs as _pair_numeric forms them: the unordered node pairs
+    of one mark rule, or every pair of two distinct rules."""
     gamma = 0.3
     u1 = power_rule(gamma)[0]
     u2 = u1 if shared else log_rule(0.05)[0]
@@ -238,51 +236,23 @@ def _overlap_pairs(shared, count):
     else:
         i, j = (k.ravel() for k in np.indices((len(u1), len(u2))))
     a1, a2 = u1[i] ** -gamma, u2[j] ** -gamma
-    return np.resize(a1, count), np.resize(a2, count)
+    return a1, a2
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
 @pytest.mark.parametrize("distances", [1, 240])
-@pytest.mark.parametrize(
-    "blocks, extra",
-    [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)],
-    ids=["0", "1", "block-1", "block", "block+1"],
-)
-def test_blocked_overlap_equals_one_block(monkeypatch, shared, distances, blocks, extra):
-    # a block is the most pairs whose temporaries fit the budget: 512 pairs
-    # at one distance (the spatial-pair-size-bound path), 2 at 240
+@pytest.mark.parametrize("pairs", [None, 0, 1], ids=["all", "0", "1"])
+def test_overlap_over_distances_equals_single_distances(shared, distances, pairs):
+    # one call over a distance array is the column stack of one call per
+    # distance, bit for bit: 300 unordered or 576 ordered pairs, no pair, or
+    # one, at one distance (the spatial-pair-size-bound path) or at 240
     params = ModelParams(beta=0.4, gamma=0.3, gamma_prime=0.35, n=10.0)
     d = np.array([1.7]) if distances == 1 else np.geomspace(1e-4, 10.0, distances)
-    block = catalog._BLOCK_ELEMENTS // (distances * catalog._OVERLAP_ORDER)
-    count = blocks * block + extra
-    a1, a2 = _overlap_pairs(shared, count)
+    a1, a2 = (a[:pairs] for a in _overlap_pairs(shared))
     value = _common_w_integral(params, d, a1, a2)
-    monkeypatch.setattr(catalog, "_BLOCK_ELEMENTS", 10**15)
-    np.testing.assert_array_equal(value, _common_w_integral(params, d, a1, a2))
-    assert value.shape == (count, distances)
-
-
-def test_overlap_blocks_fit_the_budget(monkeypatch):
-    # every block the kernel is handed, from both callers, keeps its
-    # (pairs, distances, nodes) temporaries within the budget, and the
-    # blocks cover each call's pairs once
-    shapes = []
-    block_kernel = catalog._overlap_block
-
-    def recording(params, d, a1, a2):
-        shapes.append((len(a1), len(d)))
-        return block_kernel(params, d, a1, a2)
-
-    monkeypatch.setattr(catalog, "_overlap_block", recording)
-    params = ModelParams(beta=0.4, gamma=0.3, gamma_prime=0.35, n=10.0)
-    _pair_numeric(params, 10.0, power_rule(0.3), power_rule(0.3))
-    _pair_numeric(params, 10.0, power_rule(0.3), log_rule(0.05), m1=1, m3=2)
-    next(_chk_spatial_pair_size_bound(stream_generator(20240817, 0)))
-    assert (1, 1) in shapes
-    assert max(p * d * catalog._OVERLAP_ORDER for p, d in shapes) <= catalog._BLOCK_ELEMENTS
-    # 300 unordered and 576 ordered pairs of 24-node rules, on each of 15
-    # distance panels of 16 nodes
-    assert sum(p for p, d in shapes if d == 16) == 15 * (300 + 576)
+    columns = [_common_w_integral(params, d[k : k + 1], a1, a2) for k in range(distances)]
+    assert value.shape == (len(a1), distances)
+    np.testing.assert_array_equal(value, np.hstack(columns))
 
 
 def _overlap_closed_form(params, d, a1, a2):

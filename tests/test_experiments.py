@@ -154,7 +154,8 @@ class TestSimulate:
         )
         res = run_simulate(cfg)
         for f in res["paths"]:
-            StepPath.from_csv(f)
+            data = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
+            StepPath(data[:, 0], data[:, 1])
 
     def test_summary_contents(self, tmp_path):
         cfg = ExperimentConfig.from_dict(

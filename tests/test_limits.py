@@ -19,8 +19,22 @@ from drchm.oracles import (
     stable_band_variance,
     stable_mean,
 )
-from drchm.sampler import SamplerConfig, limit_jump_threshold, sample_limit_band
+from drchm.sampler import (
+    LimitPointSample,
+    SamplerConfig,
+    limit_jump_threshold,
+    sample_limit_band,
+)
 from drchm.stats import cross_covariance
+
+
+def _superpose(first: LimitPointSample, second: LimitPointSample) -> LimitPointSample:
+    """The union of two independent point sets, first's points first."""
+    return LimitPointSample(
+        j=np.concatenate([first.j, second.j]),
+        b=np.concatenate([first.b, second.b]),
+        l=np.concatenate([first.l, second.l]),
+    )
 
 
 # Gaussian-regime sets: the reference set, gamma near 1/2, gamma' near 1/2.
@@ -226,7 +240,8 @@ class TestRefinement:
         for rep in range(reps):
             coarse = sample_limit_band(params_s, thr[0], np.inf, cfg, stream=stream + rep, tag=0)
             for k in range(len(eps) - 1):
-                fine = coarse.superpose(
+                fine = _superpose(
+                    coarse,
                     sample_limit_band(
                         params_s, thr[k + 1], thr[k], cfg, stream=stream + rep, tag=k + 1
                     )

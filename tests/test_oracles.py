@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drchm import oracles
+from drchm.catalog import _stable_band_variance_numeric, _stable_mean_numeric
 from drchm.model import ModelParams, RegimeError
 from drchm.oracles import (
     CovarianceConstants,
@@ -28,11 +29,10 @@ from drchm.oracles import (
     spatial_moment_quad,
     spatial_size_quad,
     stable_band_variance,
-    stable_band_variance_quad,
     stable_mean,
-    stable_mean_quad,
     temporal_pair_quad,
     temporal_profile_quad,
+    temporal_weighted_quad,
     window_overlap_profile,
     window_pair_spatial_quad,
 )
@@ -218,6 +218,16 @@ class TestWindowPair:
             window_pair_spatial_quad(params, 20.0, power=2.5)
 
 
+def _weighted_quad_2d(f, b_hi, l_lo_of_b):
+    """temporal_weighted_quad's former two-axis form, kept as its reference:
+    b = b_hi - y and l = l_lo(b) + q, both on half_line_rule, summed over a
+    (b, l) tensor."""
+    s, ws = half_line_rule()
+    b = b_hi - s[:, None]
+    l = l_lo_of_b(b) + s
+    return float(ws @ (np.exp(-l) * f(b)) @ ws)
+
+
 # ordered time pairs t1 <= t2, the diagonal included
 TIME_PAIRS = [
     (t1, t2) for t1 in (0.0, 0.3, 0.5, 1.0) for t2 in (0.0, 0.3, 0.5, 1.0) if t1 <= t2
@@ -253,6 +263,20 @@ class TestTemporalOracles:
         assert alive_moment_quad(t1, t2, 2) == pytest.approx(
             (2.0 + h) * math.exp(-h), rel=1e-12
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(t=st.floats(0.0, 1.0), alpha=st.floats(0.2, 4.0))
+    def test_weighted_quad_equals_two_axis_form(self, t, alpha):
+        # the l-integral as exp_tail on one axis, against the (b, l) tensor
+        f = lambda b: (t - b) ** alpha
+        value = temporal_weighted_quad(f, t, lambda b: t - b)
+        assert value == pytest.approx(_weighted_quad_2d(f, t, lambda b: t - b), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("t1, t2", TIME_PAIRS)
+    def test_alive_moments_equal_two_axis_form(self, t1, t2):
+        for k, f in ((1, lambda b: t1 - b), (2, lambda b: (t1 - b) * (t2 - b))):
+            reference = _weighted_quad_2d(f, t1, lambda b: t2 - b)
+            assert alive_moment_quad(t1, t2, k) == pytest.approx(reference, rel=1e-15, abs=0.0)
 
 
 class TestConstants:
@@ -371,7 +395,7 @@ class TestStableOracles:
     def test_stable_mean_matches_quadrature(self, params_s):
         for eps in (0.5, 0.1, 0.01):
             assert stable_mean(params_s, eps) == pytest.approx(
-                stable_mean_quad(params_s, eps), rel=1e-8
+                _stable_mean_numeric(params_s, eps), rel=1e-8
             )
 
     def test_band_variance_frozen(self, params_s):
@@ -381,7 +405,7 @@ class TestStableOracles:
 
     def test_band_variance_matches_quadrature(self, params_s):
         assert stable_band_variance(params_s, 0.1, 0.01) == pytest.approx(
-            stable_band_variance_quad(params_s, 0.1, 0.01), rel=1e-8
+            _stable_band_variance_numeric(params_s, 0.1, 0.01), rel=1e-8
         )
 
     def test_band_variance_additive(self, params_s):

@@ -17,10 +17,32 @@ from drchm.sampler import (
     sample_limit_band,
     sample_limit_points,
     sample_vertices,
-    sample_vertices_burn_in,
     weight_bands,
 )
+from drchm.rng import stream_generator
 from drchm.stats import hill_tail_index
+
+
+def _sample_vertices_burn_in(
+    params: ModelParams,
+    cfg: SamplerConfig,
+    stream: int = 0,
+    start: float = -20.0,
+) -> VertexSample:
+    """Forward simulation from a deep negative start time; test oracle.
+
+    Births are Poisson on [start, 1] x [0, n]; the sample keeps the vertices
+    alive at some point of [0, 1].  With start << 0 this approximates the
+    stationary law that sample_vertices produces exactly.
+    """
+    rng = stream_generator(cfg.master_seed, stream)
+    total = rng.poisson(params.n * (1.0 - start))
+    b = rng.uniform(start, 1.0, size=total)
+    l = rng.exponential(size=total)
+    keep = b + l >= 0.0
+    x = rng.uniform(0.0, params.n, size=total)
+    u = 1.0 - rng.random(size=total)
+    return VertexSample(x=x[keep], u=u[keep], b=b[keep], l=l[keep])
 
 
 class TestSamplerConfig:
@@ -91,7 +113,7 @@ class TestVertexSampler:
         exact, burn = [], []
         for s in range(25):
             exact.append(sample_vertices(p, scfg, s))
-            burn.append(sample_vertices_burn_in(p, scfg, 100 + s))
+            burn.append(_sample_vertices_burn_in(p, scfg, 100 + s))
         for attr in ("b", "l"):
             a = np.concatenate([getattr(v, attr) for v in exact])
             b = np.concatenate([getattr(v, attr) for v in burn])
