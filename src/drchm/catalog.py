@@ -36,6 +36,7 @@ from .oracles import (
     gauss_rule,
     gl_panel,
     half_line_rule,
+    line_rule,
     log_rule,
     power_rule,
     spatial_moment_quad,
@@ -85,17 +86,6 @@ def _powexp(alpha: float, lo, hi):
     return math.gamma(a) * (special.gammainc(a, hi) - special.gammainc(a, lo))
 
 
-def _line_rule(breaks=(), lo=0.0, hi=HALF_LINE_CUTOFF, order=12):
-    """Composite Gauss rule on [lo, hi] with unit-width panels plus panel
-    edges at the given break points (kink locations of the integrand)."""
-    edges = {float(lo), float(hi)}
-    edges.update(float(b) for b in breaks if lo < b < hi)
-    edges.update(np.arange(math.floor(lo) + 1.0, hi))
-    e = np.array(sorted(edges))
-    nodes, wts = gl_panel(e[:-1], e[1:], order)
-    return nodes.ravel(), wts.ravel()
-
-
 def _graded_breaks(points):
     """Break points with geometric refinement on both sides, for integrands
     with a fractional-power kink at the break."""
@@ -116,7 +106,7 @@ def _pm_moment_numeric(alpha: float, t: float, sign: str) -> float:
     Parameterized by the age s = t - b; the plus size is min(l, s), the
     minus size is l restricted to l <= s, and b + l >= 0 means l >= s - t.
     """
-    s, ws = _line_rule(breaks=_graded_breaks([t]), order=16)
+    s, ws = line_rule(breaks=_graded_breaks([t]), order=16)
     lo = np.maximum(s - t, 0.0)
     if sign == "minus":
         return float(np.sum(ws * _powexp(alpha, lo, s)))
@@ -136,7 +126,7 @@ def _pm_difference_moment_numeric(
     on the death window l in (shift, s].
     """
     delta = t2 - t1
-    s, ws = _line_rule(breaks=_graded_breaks([delta, t2]), order=16)
+    s, ws = line_rule(breaks=_graded_breaks([delta, t2]), order=16)
     shift = np.maximum(s - delta, 0.0)
     if sign == "minus":
         return float(np.sum(ws * _powexp(m, shift, s)))
@@ -152,10 +142,10 @@ def _pm_profile_inner(r, t1: float, t2: float, sign: str):
     r = np.asarray(r, dtype=float)
     if sign == "plus":
         # being in the t2 neighborhood but not the t1 one forces
-        # t1 < r <= t2; there the conditions reduce to b <= r <= b + l
-        s, ws = half_line_rule()
-        lo = np.maximum(s, s - r[..., None])
-        val = np.sum(ws * exp_tail(lo), axis=-1)
+        # t1 < r <= t2; there the conditions reduce to b <= r <= b + l, so
+        # l >= s + max(-r, 0), and the s-integral of that lifetime tail is
+        # exp_tail(max(-r, 0)) times the unit tail
+        val = exp_tail(np.maximum(-r, 0.0)) * exp_tail(0.0)
         return np.where((r > t1) & (r <= t2), val, 0.0)
     # the l-panel is [s + c, s + c + width] with c and width free of s, so
     # e^-l factors into e^-s, whose half-line sum is the unit tail, times
@@ -236,10 +226,8 @@ def _pair_numeric(
     u2, wu2 = u_rule2
     a1 = u1 ** (-params.gamma)
     a2 = u2 ** (-params.gamma)
-    w, ww = power_rule(params.gamma_prime)
-    w_mass = float(np.sum(ww * w**-params.gamma_prime))
-    f1 = wu1 * (2.0 * params.beta * a1 * w_mass) ** m1
-    f2 = wu2 * (2.0 * params.beta * a2 * w_mass) ** m2
+    f1 = wu1 * spatial_size_quad(params, u1) ** m1
+    f2 = wu2 * spatial_size_quad(params, u2) ** m2
     if np.array_equal(u1, u2):
         i, j = np.triu_indices(len(u1))
         pair_weight = np.where(i == j, f1[i] * f2[j], f1[i] * f2[j] + f1[j] * f2[i])
@@ -347,22 +335,13 @@ def _chk_spatial_pair_size_bound(rng):
     yield num, bound
 
 
-def _chk_spatial_pair_integral_limit(rng):
+def _chk_spatial_pair_integral(rng, restricted):
     n = 20.0
     p = _draw_params(rng, g=(0.05, 0.95), gp=(0.05, 0.45), n=n)
-    rule = power_rule(p.gamma)
-    num = _pair_numeric(p, n, rule, rule)
-    bound = (2.0 * p.beta) ** 2 / (
-        (1.0 - p.gamma) ** 2 * (1.0 - 2.0 * p.gamma_prime)
-    )
-    yield num, bound
-
-
-def _chk_spatial_pair_integral_mark_restricted(rng):
-    n = 20.0
-    p = _draw_params(rng, g=(0.05, 0.95), gp=(0.05, 0.45), n=n)
-    u_n = n ** -float(rng.uniform(0.2, 0.9))
-    rule = log_rule(u_n)
+    if restricted:
+        rule = log_rule(n ** -float(rng.uniform(0.2, 0.9)))
+    else:
+        rule = power_rule(p.gamma)
     num = _pair_numeric(p, n, rule, rule)
     bound = (2.0 * p.beta) ** 2 / (
         (1.0 - p.gamma) ** 2 * (1.0 - 2.0 * p.gamma_prime)
@@ -418,7 +397,7 @@ def _chk_temporal_size(rng):
     life = float(rng.uniform(0.1, 3.0))
     t = float(rng.uniform(0.0, 1.0))
     v = Vertex(0.0, 0.5, b, life)
-    r, wr = _line_rule([b, t, b + life], b - 0.5, max(t, b + life) + 0.5)
+    r, wr = line_rule([b, t, b + life], b - 0.5, max(t, b + life) + 0.5)
     num = float(wr @ ((b <= r) & (r <= t) & (t <= b + life)))
     yield num, temporal_nbhd_size(v, t)
 
@@ -443,7 +422,7 @@ def _profile_power_integral(alpha: float, t: float) -> float:
     which at lag a is e^-a times the birth and residual half-line masses."""
     base = exp_tail(0.0) ** 2
     extent = max(HALF_LINE_CUTOFF, 32.0 / alpha)
-    r, wr = _line_rule(lo=t - extent, hi=t)
+    r, wr = line_rule(lo=t - extent, hi=t)
     return float(np.sum(wr * (np.exp(-(t - r)) * base) ** alpha))
 
 
@@ -478,7 +457,7 @@ def _chk_pm_size(rng):
     life = float(rng.uniform(0.1, 3.0))
     t = float(rng.uniform(0.0, 1.0))
     v = Vertex(0.0, 0.5, b, life)
-    r, wr = _line_rule([b, b + life, t], b - 0.5, max(t, b + life) + 0.5)
+    r, wr = line_rule([b, b + life, t], b - 0.5, max(t, b + life) + 0.5)
     num_plus = float(wr @ ((b <= r) & (r <= min(b + life, t))))
     num_minus = float(wr @ ((b <= r) & (r <= b + life) & (b + life <= t)))
     yield num_plus, pm_temporal_nbhd_size(v, t, "plus")
@@ -549,7 +528,7 @@ def _chk_pm_difference_profile_plus(rng):
 def _chk_pm_difference_profile_minus_bound(rng):
     t1, t2 = _time_pair(rng)
     m = int(rng.integers(1, 4))
-    r, wr = _line_rule(breaks=[0.0, t1], lo=t2 - HALF_LINE_CUTOFF, hi=t2)
+    r, wr = line_rule(breaks=[0.0, t1], lo=t2 - HALF_LINE_CUTOFF, hi=t2)
     inner = _pm_profile_inner(r, t1, t2, "minus")
     yield float(np.sum(wr * inner**m)), t2 - t1
 
@@ -557,7 +536,7 @@ def _chk_pm_difference_profile_minus_bound(rng):
 def _chk_pm_cap_integral(rng, sign):
     t = float(rng.uniform(0.1, 1.0))
     m = int(rng.integers(1, 4))
-    r, wr = _line_rule(breaks=[0.0], lo=t - HALF_LINE_CUTOFF, hi=t)
+    r, wr = line_rule(breaks=[0.0], lo=t - HALF_LINE_CUTOFF, hi=t)
     inner = _pm_profile_inner(r, -math.inf, t, sign)
     yield float(np.sum(wr * inner**m)), 1.0 / m + t
 
@@ -631,11 +610,15 @@ _CHECKS = [
         _chk_spatial_moment_mark_restricted,
     ),
     ("spatial-pair-size-bound", "bound", _chk_spatial_pair_size_bound),
-    ("spatial-pair-integral-limit", "bound", _chk_spatial_pair_integral_limit),
+    (
+        "spatial-pair-integral-limit",
+        "bound",
+        partial(_chk_spatial_pair_integral, restricted=False),
+    ),
     (
         "spatial-pair-integral-mark-restricted",
         "bound",
-        _chk_spatial_pair_integral_mark_restricted,
+        partial(_chk_spatial_pair_integral, restricted=True),
     ),
     ("spatial-profile-moment-bound", "bound", _chk_spatial_profile_moment_bound),
     ("spatial-weighted-pair-bound", "bound", _chk_spatial_weighted_pair_bound),
@@ -694,7 +677,9 @@ def lemma_catalog_check(
             for value, reference in fn(rng):
                 if kind == "equality":
                     err = abs(value - reference) / max(abs(reference), 1e-9)
-                    max_err = max(max_err, err)
+                    # max() would drop a NaN error, which must fail the record
+                    if err > max_err or math.isnan(err):
+                        max_err = err
                 elif not value <= reference * (1.0 + BOUND_SLACK) + 1e-12:
                     violations += 1
         records.append(

@@ -61,15 +61,6 @@ from .stats import (
     omnibus_threshold,
 )
 
-EXPERIMENT_KINDS = (
-    "simulate",
-    "validate-gaussian",
-    "validate-stable",
-    "validate-marks",
-    "oracle-report",
-    "sample-limit",
-)
-
 # Kinds whose runners read the middle entry of eval_times.
 _NEEDS_EVAL_TIMES = ("validate-gaussian", "validate-stable", "validate-marks")
 
@@ -718,9 +709,9 @@ def run_oracle_report(cfg: ExperimentConfig) -> dict:
             "section": "catalog_summary",
             "checks": len(catalog),
             "failures": [r.lemma_id for r in catalog if not r.passed],
-            "max_equality_rel_err": max(
-                (r.max_rel_err for r in catalog if r.kind == "equality"),
-                default=0.0,
+            # np.max keeps a NaN error wherever it sits; max() may drop it
+            "max_equality_rel_err": float(
+                np.max([r.max_rel_err for r in catalog if r.kind == "equality"], initial=0.0)
             ),
             "bound_violations": int(sum(r.bound_violations for r in catalog)),
         }
@@ -799,6 +790,7 @@ RUNNERS = {
     "oracle-report": run_oracle_report,
     "sample-limit": run_sample_limit,
 }
+EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

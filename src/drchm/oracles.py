@@ -61,21 +61,24 @@ def gl_panel(lo, hi, order: int):
     return lo + half * (x + 1.0), half * w
 
 
+def line_rule(breaks=(), lo=0.0, hi=HALF_LINE_CUTOFF, order=12):
+    """Composite Gauss rule on [lo, hi] with unit-width panels plus panel
+    edges at the given break points (kink locations of the integrand)."""
+    edges = {float(lo), float(hi)}
+    edges.update(float(b) for b in breaks if lo < b < hi)
+    edges.update(np.arange(math.floor(lo) + 1.0, hi))
+    e = np.array(sorted(edges))
+    nodes, wts = gl_panel(e[:-1], e[1:], order)
+    return nodes.ravel(), wts.ravel()
+
+
 @lru_cache(maxsize=1)
 def half_line_rule():
     """Composite rule for integrals over [0, inf) of exponentially decaying
     integrands, read-only.  Panels are geometrically graded near 0 (so
     integrands with an algebraic endpoint singularity are still resolved) and
     unit-width out to HALF_LINE_CUTOFF."""
-    edges = np.concatenate(
-        [
-            [0.0],
-            2.0 ** np.arange(-24, 1, dtype=float),
-            np.arange(2, HALF_LINE_CUTOFF + 1),
-        ]
-    )
-    nodes, weights = gl_panel(edges[:-1], edges[1:], HALF_LINE_ORDER)
-    return _frozen(nodes.ravel(), weights.ravel())
+    return _frozen(*line_rule(2.0 ** np.arange(-24, 1), order=HALF_LINE_ORDER))
 
 
 def power_rule(p: float):
@@ -283,13 +286,12 @@ def temporal_profile_quad(r, t: float):
     yields an edge active at t: integral of e^-l over {b <= r, l >= t - b}.
     Vectorized over r; zero for r > t.
 
-    With b = r - y the l-integral is exp_tail(t - b) = e^-(t-b) times the
-    unit tail exp_tail(0), which factors out of the y-sum on half_line_rule.
+    With b = r - y the l-integral is exp_tail(t - r + y) = e^-(t-r) e^-y
+    times the unit tail, so the y-integral is exp_tail(t - r) and the mass
+    is exp_tail(t - r) * exp_tail(0).
     """
-    s, ws = half_line_rule()
     gap = t - np.asarray(r, dtype=float)
-    body = np.exp(-(np.maximum(gap, 0.0)[..., None] + s)) @ ws
-    out = np.where(gap >= 0.0, body * exp_tail(0.0), 0.0)
+    out = np.where(gap >= 0.0, exp_tail(np.maximum(gap, 0.0)) * exp_tail(0.0), 0.0)
     return out if out.ndim else float(out)
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,47 @@ def test_no_bound_violations(catalog_records):
 
 def test_all_passed(catalog_records):
     assert all(rec.passed for rec in catalog_records)
+
+
+def _equality_with_nan(nan_at, rng):
+    """An equality check whose pair nan_at is NaN in every draw; every other
+    pair errs by k * 1e-9, inside the tolerance."""
+    for k in range(4):
+        yield (math.nan if k == nan_at else 1.0 + k * 1e-9), 1.0
+
+
+@pytest.mark.parametrize("nan_at", [0, 2])
+def test_nan_fails_its_equality_record(nan_at, monkeypatch):
+    # max() drops a NaN error, wherever it sits, and a later finite error
+    # must not replace it; the record must fail
+    checks = [
+        ("nan-equality", "equality", partial(_equality_with_nan, nan_at)),
+        ("nan-bound", "bound", lambda rng: iter([(math.nan, 1.0)])),
+    ]
+    monkeypatch.setattr(catalog, "_CHECKS", checks)
+    equality, bound = catalog.lemma_catalog_check(draws=3)
+    assert math.isnan(equality.max_rel_err)
+    assert not equality.passed
+    assert bound.bound_violations == 3 and not bound.passed
+
+
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_oracle_report_keeps_a_nan_error(nan_first, tmp_path, monkeypatch):
+    nan = catalog.CatalogRecord("nan-equality", "equality", 20, math.nan, 0)
+    fine = catalog.CatalogRecord("fine-equality", "equality", 20, 1e-9, 0)
+    records = [nan, fine] if nan_first else [fine, nan]
+    out = _oracle_report(0.7, records, tmp_path, monkeypatch)
+    summary = out["records"][-1]
+    assert math.isnan(summary["max_equality_rel_err"])
+    assert summary["failures"] == ["nan-equality"]
+    # both files are strict JSON, with the NaN error written as null
+    report, written = (
+        [json.loads(line, parse_constant=_reject) for line in Path(path).read_text().splitlines()]
+        for path in (out["report"], out["catalog"])
+    )
+    assert report[-1]["max_equality_rel_err"] is None
+    errors = {r["lemma_id"]: r["max_rel_err"] for r in written}
+    assert errors == {"nan-equality": None, "fine-equality": 1e-9}
 
 
 def _oracle_report(gamma, catalog_records, tmp_path, monkeypatch):
@@ -97,7 +139,8 @@ def test_gaussian_covariance_adjudication(tmp_path, monkeypatch):
 
 
 def _all_pairs_numeric(params, n, rule, m1, m2, m3):
-    """_pair_numeric summed over every ordered node pair, with no symmetry."""
+    """_pair_numeric summed over every ordered node pair, with no symmetry,
+    and its mark factors from a w-mass of its own, not spatial_size_quad."""
     u, wu = rule
     a = u ** (-params.gamma)
     w, ww = power_rule(params.gamma_prime)
@@ -164,6 +207,41 @@ def test_minus_profile_factorizes(t2, t1_frac, below, between, above):
     reference = _minus_profile_by_panels(r, t1, t2)
     assert value[2] == 0.0
     np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
+
+
+def _plus_profile_by_half_line(r, t1, t2):
+    """The plus profile's former form, kept as its reference: the half-line
+    sum over the age s of exp_tail(s + max(-r, 0))."""
+    r = np.asarray(r, dtype=float)
+    s, ws = half_line_rule()
+    lo = np.maximum(s, s - r[..., None])
+    val = np.sum(ws * exp_tail(lo), axis=-1)
+    return np.where((r > t1) & (r <= t2), val, 0.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    t2=st.floats(0.02, 1.0),
+    t1_frac=st.one_of(st.none(), st.floats(-3.0, 0.99)),
+    below=st.floats(1e-6, 35.0),
+    between=st.floats(0.0, 1.0),
+    above=st.floats(1e-6, 5.0),
+)
+def test_plus_profile_factorizes(t2, t1_frac, below, between, above):
+    # r below 0, inside (t1, t2], at t2 and above t2, and at a finite t1,
+    # which may lie below 0, so that r below 0 can fall inside or outside
+    t1 = -math.inf if t1_frac is None else t1_frac * t2
+    start = -below if t1_frac is None else t1
+    r = np.array([-below, start + between * (t2 - start), t2, t2 + above])
+    if t1_frac is not None:
+        r = np.append(r, t1)
+    value = _pm_profile_inner(r, t1, t2, "plus")
+    outside = (r <= t1) | (r > t2)
+    assert outside[3] and (t1_frac is None or outside[4])
+    assert np.all(value[outside] == 0.0)
+    np.testing.assert_allclose(
+        value, _plus_profile_by_half_line(r, t1, t2), rtol=1e-13, atol=0.0
+    )
 
 
 @pytest.mark.parametrize("width", [2.0**-40, 2.0**-27, 2.0**-13])

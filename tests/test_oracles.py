@@ -12,9 +12,12 @@ from drchm import oracles
 from drchm.catalog import _stable_band_variance_numeric, _stable_mean_numeric
 from drchm.model import ModelParams, RegimeError
 from drchm.oracles import (
+    HALF_LINE_CUTOFF,
+    HALF_LINE_ORDER,
     CovarianceConstants,
     adjudicated_constants,
     alive_moment_quad,
+    exp_tail,
     gl_panel,
     half_line_rule,
     log_rule,
@@ -88,6 +91,18 @@ class TestQuadrature:
             assert float(np.sum(w * q**k * np.exp(-q))) == pytest.approx(
                 math.factorial(k), rel=1e-10
             )
+
+    def test_half_line_rule_is_the_graded_edge_list(self):
+        # line_rule over the dyadic breaks gives the explicit edge list
+        # 0, 2^-24, ..., 1, 2, ..., 36 bit for bit, and the rule stays read-only
+        edges = np.concatenate(
+            [[0.0], 2.0 ** np.arange(-24, 1, dtype=float), np.arange(2, HALF_LINE_CUTOFF + 1)]
+        )
+        nodes, weights = (a.ravel() for a in gl_panel(edges[:-1], edges[1:], HALF_LINE_ORDER))
+        q, w = half_line_rule()
+        assert q.tobytes() == nodes.tobytes()
+        assert w.tobytes() == weights.tobytes()
+        assert not q.flags.writeable and not w.flags.writeable
 
     @pytest.mark.parametrize("rule", [lambda: oracles.gauss_rule(16), half_line_rule])
     def test_cached_rules_are_read_only(self, rule):
@@ -228,6 +243,16 @@ def _weighted_quad_2d(f, b_hi, l_lo_of_b):
     return float(ws @ (np.exp(-l) * f(b)) @ ws)
 
 
+def _profile_by_half_line(r, t):
+    """temporal_profile_quad's former form, kept as its reference: the
+    y-sum of e^-(t - r + y) on half_line_rule, times the unit tail."""
+    s, ws = half_line_rule()
+    gap = t - np.asarray(r, dtype=float)
+    body = np.exp(-(np.maximum(gap, 0.0)[..., None] + s)) @ ws
+    out = np.where(gap >= 0.0, body * exp_tail(0.0), 0.0)
+    return out if out.ndim else float(out)
+
+
 # ordered time pairs t1 <= t2, the diagonal included
 TIME_PAIRS = [
     (t1, t2) for t1 in (0.0, 0.3, 0.5, 1.0) for t2 in (0.0, 0.3, 0.5, 1.0) if t1 <= t2
@@ -249,6 +274,20 @@ class TestTemporalOracles:
         out = temporal_profile_quad(r, 0.5)
         assert out.shape == (4,)
         np.testing.assert_allclose(out, np.where(r <= 0.5, np.exp(r - 0.5), 0.0), rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(t=st.floats(0.0, 1.0), below=st.floats(1e-6, 35.0), above=st.floats(1e-6, 5.0))
+    def test_profile_equals_half_line_form(self, t, below, above):
+        # the lifetime tail as exp_tail(t - r) * exp_tail(0), against the
+        # y-sum it replaced; r = t and r > t, scalar and array
+        r = np.array([t - below, t, t + above])
+        value = temporal_profile_quad(r, t)
+        np.testing.assert_allclose(value, _profile_by_half_line(r, t), rtol=1e-13, atol=0.0)
+        assert value[2] == 0.0
+        for rk in r:
+            scalar = temporal_profile_quad(float(rk), t)
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(_profile_by_half_line(float(rk), t), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("t1, t2", TIME_PAIRS)
     def test_pair(self, t1, t2):
