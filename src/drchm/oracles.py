@@ -164,21 +164,32 @@ def window_overlap_profile(params: ModelParams, z, w: float, n: float):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     r = 6.0 / (1.0 - params.gamma)
     c = params.beta * w ** (-params.gamma_prime)
-    kinks = [_kink(c, np.abs(crit), r * params.gamma) for crit in (z, z - n)]
-    edges = np.sort(np.stack([np.zeros_like(z), *kinks, np.ones_like(z)], axis=-1), axis=-1)
+    k1, k2 = (_kink(c, np.abs(crit), r * params.gamma) for crit in (z, z - n))
+    # both kinks lie in [0, 1], so the panel edges need no sort
+    near, far = np.minimum(k1, k2), np.maximum(k1, k2)
     zz = z[:, None]
+    rest = n - zz
+    rho = np.empty((len(z), PROFILE_U_ORDER))
+    part = np.empty_like(rho)
     total = np.zeros_like(z)
-    for k in range(3):
-        v, wv = gl_panel(edges[:, k], edges[:, k + 1], PROFILE_U_ORDER)
+    for lo, hi in ((0.0, near), (near, far), (far, 1.0)):
+        v, wv = gl_panel(lo, hi, PROFILE_U_ORDER)
         # a zero-width panel at v = 0 has its nodes on 0; it weighs 0, so
         # its nodes move to 1
-        log_v = np.log(np.where(v > 0.0, v, 1.0))
-        rho = c * np.exp(-r * params.gamma * log_v)
+        v[v <= 0.0] = 1.0
+        log_v = np.log(v, out=v)
+        np.exp(np.multiply(log_v, -r * params.gamma, out=rho), out=rho)
+        rho *= c
         # the overlap is min(rho, n - z) + min(rho, z), clipped at 0; in
         # this order it does not cancel where rho is close to the distance
         # to the window
-        overlap = np.maximum(np.minimum(rho, n - zz) + np.minimum(rho, zz), 0.0)
-        total += np.sum(wv * np.exp((r - 1.0) * log_v) * overlap, axis=-1)
+        np.minimum(rho, rest, out=part)
+        np.minimum(rho, zz, out=rho)
+        np.maximum(np.add(part, rho, out=rho), 0.0, out=rho)
+        np.exp(np.multiply(log_v, r - 1.0, out=part), out=part)
+        part *= wv
+        part *= rho
+        total += part.sum(axis=-1)
     return r * total
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -71,6 +72,32 @@ def test_nan_fails_its_equality_record(nan_at, monkeypatch):
     assert math.isnan(equality.max_rel_err)
     assert not equality.passed
     assert bound.bound_violations == 3 and not bound.passed
+    assert equality.max_bound_ratio == 0.0
+    assert math.isnan(bound.max_bound_ratio)
+
+
+def _bound_ratios(values, rng):
+    """A bound check whose draws yield value / reference = values[k]."""
+    for v in values:
+        yield 2.0 * v, 2.0
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [([0.25, 0.994, 0.5], 0.994), ([0.5, 1.5], 1.5), ([0.5, math.nan, 0.9], math.nan)],
+)
+def test_bound_ratio_is_the_largest(values, expected, monkeypatch):
+    # the largest value / reference over every draw, violated or not; a NaN
+    # stays, whatever follows it
+    checks = [("ratio-bound", "bound", partial(_bound_ratios, values))]
+    monkeypatch.setattr(catalog, "_CHECKS", checks)
+    (record,) = catalog.lemma_catalog_check(draws=2)
+    assert record.max_rel_err == 0.0
+    assert record.bound_violations == 2 * sum(not v <= 1.0 for v in values)
+    if math.isnan(expected):
+        assert math.isnan(record.max_bound_ratio)
+    else:
+        assert record.max_bound_ratio == expected
 
 
 @pytest.mark.parametrize("nan_first", [True, False])
@@ -121,6 +148,7 @@ def test_jsonl_output(catalog_records, tmp_path, monkeypatch):
         "draws",
         "max_rel_err",
         "bound_violations",
+        "max_bound_ratio",
         "passed",
     }
 
@@ -331,6 +359,56 @@ def test_overlap_over_distances_equals_single_distances(shared, distances, pairs
     columns = [_common_w_integral(params, d[k : k + 1], a1, a2) for k in range(distances)]
     assert value.shape == (len(a1), distances)
     np.testing.assert_array_equal(value, np.hstack(columns))
+
+
+def _live_entries(params, d, a1, a2):
+    """Number of (pair, distance) entries whose partial panel has positive
+    width, that is whose kink weights satisfy w- < w+."""
+    gp = params.gamma_prime
+    big = params.beta * (a1 + a2)[:, None] / d
+    small = params.beta * np.abs(a1 - a2)[:, None] / d
+    return int(np.count_nonzero(np.minimum(big ** (1 / gp), 1.0) > np.minimum(small ** (1 / gp), 1.0)))
+
+
+@pytest.mark.parametrize(
+    "pairs, distances, live",
+    [(8, 8, 0), (10, 7, 70), (64, 16, catalog._LIVE_ROWS), (41, 25, catalog._LIVE_ROWS + 1)],
+)
+def test_overlap_slices_equal_single_distances(pairs, distances, live):
+    # equal radii are live at every distance, and radii 1 and 9 at beta 0.4
+    # are nested below d = 3.2: no live entry, fewer than one slice of live
+    # rows, exactly one, and one slice plus one row, against one call per
+    # distance, whose at most 64 live rows never fill a slice
+    params = ModelParams(beta=0.4, gamma=0.3, gamma_prime=0.35, n=10.0)
+    if live:
+        a1 = a2 = np.geomspace(1.0, 5.0, pairs)
+        d = np.geomspace(1e-3, 10.0, distances)
+    else:
+        a1, a2 = np.tile([1.0, 9.0], pairs // 2), np.tile([9.0, 1.0], pairs // 2)
+        d = np.geomspace(1e-3, 3.0, distances)
+    assert _live_entries(params, d, a1, a2) == live
+    value = _common_w_integral(params, d, a1, a2)
+    columns = [_common_w_integral(params, d[k : k + 1], a1, a2) for k in range(distances)]
+    assert value.tobytes() == np.hstack(columns).tobytes()
+
+
+def test_overlap_memory_is_bounded():
+    # 625 pairs at 16 distances, all 10 000 entries live: the partial panels
+    # run in slices of _LIVE_ROWS rows, so the traced peak of one call is
+    # about 1.0 MB; one (live, 16) array per temporary takes it to 4.4 MB
+    params = ModelParams(beta=0.4, gamma=0.3, gamma_prime=0.35, n=10.0)
+    a = np.geomspace(1.0, 5.0, 25)
+    i, j = (k.ravel() for k in np.indices((25, 25)))
+    d = np.geomspace(2.0, 10.0, 16)
+    assert _live_entries(params, d, a[i], a[j]) == 10_000
+    _common_w_integral(params, d, a[i], a[j])
+    tracemalloc.start()
+    try:
+        _common_w_integral(params, d, a[i], a[j])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def _overlap_closed_form(params, d, a1, a2):

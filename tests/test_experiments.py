@@ -209,7 +209,22 @@ class TestStrictJson:
             line = fh.read()
         assert json.loads(line, parse_constant=self._reject) == {
             "lemma_id": "L", "kind": "equality", "draws": 3,
-            "max_rel_err": None, "bound_violations": 0, "passed": False,
+            "max_rel_err": None, "bound_violations": 0, "max_bound_ratio": 0.0,
+            "passed": False,
+        }
+
+    def test_catalog_bound_ratio_nan_is_null(self, tmp_path, monkeypatch):
+        rec = CatalogRecord("B", "bound", 3, 0.0, 3, float("nan"))
+        monkeypatch.setattr(experiments, "lemma_catalog_check", lambda master_seed: [rec])
+        cfg = ExperimentConfig.from_dict(
+            _base_config(kind="oracle-report", out_dir=str(tmp_path), **_stable())
+        )
+        with open(run_experiment(cfg)["catalog"]) as fh:
+            line = fh.read()
+        assert json.loads(line, parse_constant=self._reject) == {
+            "lemma_id": "B", "kind": "bound", "draws": 3,
+            "max_rel_err": 0.0, "bound_violations": 3, "max_bound_ratio": None,
+            "passed": False,
         }
 
 

@@ -162,7 +162,48 @@ def _profile_closed_form(params, z, w, n):
 NEAR_0_OR_HALF = st.one_of(st.floats(1e-6, 0.02), st.floats(0.48, 0.4999))
 
 
+def _profile_by_sorted_edges(params, z, w, n):
+    """window_overlap_profile's former body, kept as its reference: the
+    panel edges as a sorted (Z, 4) array and a fresh temporary per step."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    r = 6.0 / (1.0 - params.gamma)
+    c = params.beta * w ** (-params.gamma_prime)
+    kinks = [oracles._kink(c, np.abs(crit), r * params.gamma) for crit in (z, z - n)]
+    edges = np.sort(np.stack([np.zeros_like(z), *kinks, np.ones_like(z)], axis=-1), axis=-1)
+    zz = z[:, None]
+    total = np.zeros_like(z)
+    for k in range(3):
+        v, wv = gl_panel(edges[:, k], edges[:, k + 1], oracles.PROFILE_U_ORDER)
+        log_v = np.log(np.where(v > 0.0, v, 1.0))
+        rho = c * np.exp(-r * params.gamma * log_v)
+        overlap = np.maximum(np.minimum(rho, n - zz) + np.minimum(rho, zz), 0.0)
+        total += np.sum(wv * np.exp((r - 1.0) * log_v) * overlap, axis=-1)
+    return r * total
+
+
 class TestWindowPair:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        gamma=st.floats(0.01, 0.95).filter(lambda g: g != 0.5),
+        gamma_prime=st.floats(0.01, 0.95),
+        beta=st.floats(0.1, 1.0),
+        n=st.sampled_from([3.0, 20.0, 500.0]),
+        w=st.one_of(st.just(oracles.U_FLOOR), st.floats(-100.0, 0.0).map(lambda x: 10.0**x)),
+        inside=st.floats(0.0, 1.0),
+        log_gap=st.floats(-3.0, 12.0),
+    )
+    def test_profile_keeps_its_bits(self, gamma, gamma_prime, beta, n, w, inside, log_gap):
+        # z below the window, at 0, n/2 and n, inside it, and beyond n out
+        # to the end of the z-rule's tail, 1e12 * max(n, c), at w down to
+        # U_FLOOR
+        params = ModelParams(beta=beta, gamma=gamma, gamma_prime=gamma_prime, n=n)
+        c = beta * w ** (-gamma_prime)
+        tail = 1e12 * max(n, c)
+        gap = min(10.0**log_gap * c, tail)
+        z = np.array([-gap, -c, 0.0, inside * n, n / 2.0, n, n + gap, n + c, tail])
+        value = window_overlap_profile(params, z, w, n)
+        assert value.tobytes() == _profile_by_sorted_edges(params, z, w, n).tobytes()
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         gamma=NEAR_0_OR_HALF,
