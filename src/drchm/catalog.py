@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import special
 
 from .model import (
     ModelParams,
@@ -57,6 +56,10 @@ BOUND_SLACK = 1e-6
 # rows of 16 nodes keep each temporary at 128 KB.
 _OVERLAP_ORDER = 16
 _LIVE_ROWS = 1024
+# Where _powexp switches from the incomplete gamma series to the continued
+# fraction; the term counts of _lower_gamma and _upper_gamma reach round-off
+# on their side of it.
+_GAMMA_SWITCH = 6.0
 
 
 @dataclass
@@ -82,14 +85,42 @@ class CatalogRecord:
 # shared numeric building blocks
 
 
+def _lower_gamma(a: float, x):
+    """Lower incomplete gamma function gamma(a, x) for 0 <= x <= 6 by its
+    series x^a e^-x / a * sum_k x^k / ((a + 1) ... (a + k)) (DLMF 8.7.1),
+    summed by Horner's rule; 40 terms reach round-off there for a >= 1."""
+    total = np.ones_like(x)
+    for k in range(39, 0, -1):
+        total *= x / (a + k)
+        total += 1.0
+    return x**a * np.exp(-x) * total / a
+
+
+def _upper_gamma(a: float, x):
+    """Upper incomplete gamma function Gamma(a, x) for x >= 6 by its
+    continued fraction (DLMF 8.9.2; Numerical Recipes 6.2), evaluated bottom
+    up from depth 20, which reaches round-off there for a <= 6."""
+    t = x + 41.0 - a
+    for k in range(20, 0, -1):
+        t = x + (2 * k - 1 - a) - k * (k - a) / t
+    return x**a * np.exp(-x) / t
+
+
 def _powexp(alpha: float, lo, hi):
-    """Integral of l^alpha * e^-l over [lo, hi] via the regularized lower
-    incomplete gamma function (accurate for fractional alpha where a plain
-    Gauss panel loses digits at the l = 0 endpoint)."""
+    """Integral of l^alpha * e^-l over [lo, hi] for alpha >= 0, as
+    differences of incomplete gamma functions (a plain Gauss panel loses
+    digits at the l = 0 endpoint for fractional alpha).  The part below
+    _GAMMA_SWITCH is a difference of lower functions and the part above it
+    a difference of upper ones, which are small there, so far out no
+    difference is taken near Gamma(alpha + 1).  A narrow interval just below
+    the switch still cancels: 2e-10 relative at alpha = 0, width 1e-3."""
     a = alpha + 1.0
     lo = np.maximum(np.asarray(lo, dtype=float), 0.0)
     hi = np.maximum(np.asarray(hi, dtype=float), lo)
-    return math.gamma(a) * (special.gammainc(a, hi) - special.gammainc(a, lo))
+    x = np.stack(np.broadcast_arrays(lo, hi))
+    lower = _lower_gamma(a, np.minimum(x, _GAMMA_SWITCH))
+    upper = _upper_gamma(a, np.maximum(x, _GAMMA_SWITCH))
+    return (lower[1] - lower[0]) + (upper[0] - upper[1])
 
 
 def _graded_breaks(points):

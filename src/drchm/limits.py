@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .model import ModelParams, require_gaussian, require_stable
 from .oracles import adjudicated_constants, stable_mean
@@ -58,6 +57,8 @@ class GaussianGrid:
     def build(cls, params: ModelParams, times) -> "GaussianGrid":
         """The innovation factors for the adjudicated constant set, in closed
         form per grid step so that tiny steps do not cancel."""
+        from scipy import special  # on first use: it is most of a cold start
+
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("grid times must be a nonempty 1-d sequence")
@@ -139,7 +140,9 @@ class StablePath:
     def breakpoints(self) -> np.ndarray:
         """Event times (births, deaths) in [0, 1] plus both endpoints."""
         ev = np.concatenate([[0.0, 1.0], self.b, self.d])
-        return np.unique(ev[(ev >= 0.0) & (ev <= 1.0)])
+        ev = np.sort(ev[(ev >= 0.0) & (ev <= 1.0)])
+        # deduplicated without np.unique, which imports numpy.ma on first use
+        return ev[np.diff(ev, prepend=-np.inf) > 0.0]
 
     def _eval(self, t, closed_death: bool):
         t = np.asarray(t, dtype=float)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .model import ModelParams, require_gaussian, require_stable
 
@@ -49,16 +50,22 @@ def _frozen(*arrays):
 @lru_cache(maxsize=32)
 def gauss_rule(order: int):
     """Gauss-Legendre nodes/weights on [-1, 1], read-only."""
-    return _frozen(*np.polynomial.legendre.leggauss(order))
+    return _frozen(*leggauss(order))
 
 
-def gl_panel(lo, hi, order: int):
-    """Nodes and weights for one panel [lo, hi]; lo/hi may be arrays."""
+def gl_panel(lo, hi, order: int, out=None):
+    """Nodes and weights for one panel [lo, hi]; lo/hi may be arrays.  out,
+    a (nodes, weights) pair of arrays of the result's shape, receives them
+    in place of new arrays."""
     x, w = gauss_rule(order)
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+    if out is None:
+        return lo + half * (x + 1.0), half * w
+    nodes, weights = out
+    np.add(lo, np.multiply(half, x + 1.0, out=nodes), out=nodes)
+    return nodes, np.multiply(half, w, out=weights)
 
 
 def line_rule(breaks=(), lo=0.0, hi=HALF_LINE_CUTOFF, order=12):
@@ -162,6 +169,12 @@ def window_overlap_profile(params: ModelParams, z, w: float, n: float):
     2.6e-9 relative, with r = 6/(1 - gamma) it is below 1e-11.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    return _overlap_profile(params, z, w, n, np.empty((4, len(z), PROFILE_U_ORDER)))
+
+
+def _overlap_profile(params: ModelParams, z, w: float, n: float, work):
+    """window_overlap_profile at the 1-d array z, with work[:, :len(z)] of a
+    (4, >= len(z), PROFILE_U_ORDER) array as its scratch space."""
     r = 6.0 / (1.0 - params.gamma)
     c = params.beta * w ** (-params.gamma_prime)
     k1, k2 = (_kink(c, np.abs(crit), r * params.gamma) for crit in (z, z - n))
@@ -169,11 +182,10 @@ def window_overlap_profile(params: ModelParams, z, w: float, n: float):
     near, far = np.minimum(k1, k2), np.maximum(k1, k2)
     zz = z[:, None]
     rest = n - zz
-    rho = np.empty((len(z), PROFILE_U_ORDER))
-    part = np.empty_like(rho)
+    rho, part, v, wv = work[:, : len(z)]
     total = np.zeros_like(z)
     for lo, hi in ((0.0, near), (near, far), (far, 1.0)):
-        v, wv = gl_panel(lo, hi, PROFILE_U_ORDER)
+        gl_panel(lo, hi, PROFILE_U_ORDER, out=(v, wv))
         # a zero-width panel at v = 0 has its nodes on 0; it weighs 0, so
         # its nodes move to 1
         v[v <= 0.0] = 1.0
@@ -200,7 +212,9 @@ def _window_z_rule(n: float, c: float):
     and outward to 1e12 * max(n, c), where the profile's power tail ends."""
     dist = c * 2.0 ** np.arange(math.ceil(math.log2(1e12 * max(n, c) / c)) + 1)
     edges = np.concatenate([[n / 2.0, n, c], n - dist[dist < n / 2.0], n + dist])
-    edges = np.unique(edges[edges >= n / 2.0])
+    # deduplicated without np.unique, which imports numpy.ma on first use
+    edges = np.sort(edges[edges >= n / 2.0])
+    edges = edges[np.diff(edges, prepend=-np.inf) > 0.0]
     z, wz = gl_panel(edges[:-1], edges[1:], PROFILE_Z_ORDER)
     return z.ravel(), wz.ravel()
 
@@ -223,6 +237,10 @@ def window_pair_spatial_quad(params: ModelParams, n: float, power: float = 2.0):
     # below U_FLOOR the w-mass is negligible, and c(w) could overflow
     w_n, w_half = np.maximum(_kink(params.beta, np.array([n, n / 2.0]), gp), U_FLOOR)
     total = 0.0
+    # one scratch array for the profiles of every w-node: a new one per node
+    # would grow and trim the heap once per node in a process whose
+    # allocator thresholds are still at their defaults
+    work = np.empty((4, 0, PROFILE_U_ORDER))
     for lo, hi, r in (
         (0.0, w_n, 4.0 / (1.0 - gp)),
         (w_n, w_half, 4.0 / (1.0 - gp)),
@@ -234,7 +252,9 @@ def window_pair_spatial_quad(params: ModelParams, n: float, power: float = 2.0):
         for vk, wk in zip(v.ravel(), wv.ravel()):
             w = vk**r
             z, wz = _window_z_rule(n, params.beta * w ** (-gp))
-            g = window_overlap_profile(params, z, w, n)
+            if len(z) > work.shape[1]:
+                work = np.empty((4, len(z), PROFILE_U_ORDER))
+            g = _overlap_profile(params, z, w, n, work)
             total += wk * r * vk ** (r - 1.0) * float(wz @ g**power)
     return 2.0 * float(total)
 

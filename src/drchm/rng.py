@@ -9,18 +9,18 @@ distributed across processes in any order.
 
 from __future__ import annotations
 
-import numpy as np
+# Imported by name: numpy loads numpy.random on first attribute access,
+# which would otherwise fall inside the first timed draw.
+from numpy.random import PCG64, Generator, SeedSequence
 
 
-def stream_generator(master_seed: int, stream: int = 0) -> np.random.Generator:
+def stream_generator(master_seed: int, stream: int = 0) -> Generator:
     """Generator for the given replicate stream of a master seed."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(stream,))
-    return np.random.Generator(np.random.PCG64(ss))
+    ss = SeedSequence(master_seed, spawn_key=(stream,))
+    return Generator(PCG64(ss))
 
 
-def substream_generator(
-    master_seed: int, stream: int, tag: int
-) -> np.random.Generator:
+def substream_generator(master_seed: int, stream: int, tag: int) -> Generator:
     """Independent sub-generator, e.g. one per weight band within a stream."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(stream, tag))
-    return np.random.Generator(np.random.PCG64(ss))
+    ss = SeedSequence(master_seed, spawn_key=(stream, tag))
+    return Generator(PCG64(ss))

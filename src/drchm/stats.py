@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -118,6 +117,8 @@ def omnibus_threshold(level: float = 0.999) -> float:
     chi-squared(2) is twice a Gamma(1) variable, so the quantile is twice the
     inverse regularized lower incomplete gamma function at shape 1.
     """
+    from scipy import special  # on first use: it is most of a cold start
+
     return float(2.0 * special.gammaincinv(1.0, level))
 
 

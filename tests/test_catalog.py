@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from drchm import catalog, experiments
 from drchm.catalog import (
@@ -283,6 +284,39 @@ def test_minus_profile_narrow_panels(width):
     c = np.maximum(t1 - r, 0.0)
     expected = np.exp(-c) * -np.expm1(-width) * exp_tail(0.0)
     np.testing.assert_allclose(value, expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("a", np.linspace(1.0, 5.0, 17))
+def test_powexp_from_zero_equals_scipy(a):
+    # Gamma(a) P(a, hi) from scipy, hi from 1e-300 to 36 and densely across
+    # the series/fraction switch at 6; where scipy's value underflows to 0,
+    # the numpy one must be subnormal or 0 as well
+    hi = np.concatenate([np.geomspace(1e-300, 36.0, 400), np.linspace(5.0, 7.0, 41)])
+    value = catalog._powexp(a - 1.0, 0.0, hi)
+    expected = math.gamma(a) * special.gammainc(a, hi)
+    normal = expected >= np.finfo(float).tiny
+    np.testing.assert_allclose(value[normal], expected[normal], rtol=5e-13, atol=0.0)
+    assert np.all(value[~normal] < np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("width", [1e-3, 1e-2, 0.1, 1.0, 10.0])
+def test_powexp_narrow_far_out(width):
+    # at alpha = 0 the integral is e^-lo (1 - e^-width); far out it is a
+    # difference of two small upper functions, not of two values near 1
+    # (at width 1e-3, scipy's P(1, hi) - P(1, lo) is 19 % off at lo = 30
+    # and 0 at lo = 34)
+    lo = np.concatenate([[0.0, 0.5, 1.0], np.linspace(6.0, 40.0, 69), [29.9, 30.1, 34.0]])
+    value = catalog._powexp(0.0, lo, lo + width)
+    expected = np.exp(-lo) * -np.expm1(-width)
+    np.testing.assert_allclose(value, expected, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5, 1.7, 3.0, 4.0])
+def test_powexp_adds_across_the_switch(alpha):
+    left = catalog._powexp(alpha, 5.5, 6.0)
+    right = catalog._powexp(alpha, 6.0, 6.5)
+    whole = catalog._powexp(alpha, 5.5, 6.5)
+    np.testing.assert_allclose(left + right, whole, rtol=1e-13, atol=0.0)
 
 
 def _overlap_three_powers(params, d, a1, a2, order=16):
