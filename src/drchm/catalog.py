@@ -480,14 +480,29 @@ def _chk_temporal_chain_bound(rng):
     a1 = float(rng.uniform(0.2, 2.0))
     a2 = float(rng.uniform(0.2, 2.0))
     t1, t2 = (float(v) for v in rng.uniform(0.0, 1.0, size=2))
+    yield _chain_sum(a1, a2, t1, t2), math.gamma(a1 + 1.0) * math.gamma(a2 + 2.0)
+
+
+def _chain_sum(a1: float, a2: float, t1: float, t2: float) -> float:
+    """Sum over node pairs (i, j) of half_line_rule of f1_i f2_j cap_ij,
+    with f_k = ws s^a_k exp_tail(s) and cap_ij = (min(t1, t2) - max(t1 - s_i,
+    t2 - s_j))^+.
+
+    cap_ij is min(x_i, y_j) with x = (m - t1 + s)^+ and y = (m - t2 + s)^+,
+    m = min(t1, t2), and both rise with the sorted nodes s.  So row i takes
+    y_j below k_i = searchsorted(y, x_i) and x_i from k_i on: a prefix sum
+    of f2 y plus x_i times a suffix sum of f2, with no (nodes, nodes) array.
+    """
     s, ws = half_line_rule()
-    s1 = s[:, None]
-    s2 = s[None, :]
-    cap = np.clip(min(t1, t2) - np.maximum(t1 - s1, t2 - s2), 0.0, None)
+    m = min(t1, t2)
+    x = np.maximum(m - t1 + s, 0.0)
+    y = np.maximum(m - t2 + s, 0.0)
     f1 = ws * s**a1 * exp_tail(s)
     f2 = ws * s**a2 * exp_tail(s)
-    num = float((f1[:, None] * f2[None, :] * cap).sum())
-    yield num, math.gamma(a1 + 1.0) * math.gamma(a2 + 2.0)
+    k = np.searchsorted(y, x)
+    prefix = np.concatenate(([0.0], np.cumsum(f2 * y)))
+    suffix = np.append(np.cumsum(f2[::-1])[::-1], 0.0)
+    return float(f1 @ (prefix[k] + x * suffix[k]))
 
 
 def _chk_pm_size(rng):

@@ -23,10 +23,9 @@ from .model import ModelParams, require_gaussian, require_stable
 
 
 # Gauss-Legendre node counts per panel: the power and log rules, the
-# half-line rule, and the u-, z- and w-panels of the window pair rule.
+# half-line rule, and the z- and w-panels of the window pair rule.
 RULE_ORDER = 24
 HALF_LINE_ORDER = 10
-PROFILE_U_ORDER = 16
 PROFILE_Z_ORDER = 12
 PROFILE_W_ORDER = 24
 # Last edge of the half-line rule: beyond it e^-x is below 1e-15.
@@ -53,19 +52,13 @@ def gauss_rule(order: int):
     return _frozen(*leggauss(order))
 
 
-def gl_panel(lo, hi, order: int, out=None):
-    """Nodes and weights for one panel [lo, hi]; lo/hi may be arrays.  out,
-    a (nodes, weights) pair of arrays of the result's shape, receives them
-    in place of new arrays."""
+def gl_panel(lo, hi, order: int):
+    """Nodes and weights for one panel [lo, hi]; lo/hi may be arrays."""
     x, w = gauss_rule(order)
     lo = np.asarray(lo, dtype=float)[..., None]
     hi = np.asarray(hi, dtype=float)[..., None]
     half = 0.5 * (hi - lo)
-    if out is None:
-        return lo + half * (x + 1.0), half * w
-    nodes, weights = out
-    np.add(lo, np.multiply(half, x + 1.0, out=nodes), out=nodes)
-    return nodes, np.multiply(half, w, out=weights)
+    return lo + half * (x + 1.0), half * w
 
 
 def line_rule(breaks=(), lo=0.0, hi=HALF_LINE_CUTOFF, order=12):
@@ -155,54 +148,38 @@ def spatial_moment_quad(params: ModelParams, alpha: float, u_lo: float = 0.0):
     return float(wu @ spatial_size_quad(params, u) ** alpha)
 
 
+def _mass_above(c: float, gamma: float, a, b):
+    """Integral over t in [a, b], 0 <= a <= b, of min(1, (c/t)^(1/gamma)):
+    the u-measure of {c u^-gamma > t}, integrated over t; array-safe.
+
+    Above lo = max(a, c) the integral is gamma/(1-gamma) c^(1/gamma)
+    (lo^q - b^q), q = 1 - 1/gamma.  It is written lo (c/lo)^(1/gamma)
+    gamma/(1-gamma) (-expm1(q log1p((b - lo)/lo))), since the difference
+    of the two powers cancels where b - lo << lo.
+    """
+    below = np.maximum(np.minimum(b, c) - a, 0.0)
+    lo = np.maximum(a, c)
+    # far from c the mass falls below the smallest double, which is 0
+    with np.errstate(under="ignore"):
+        span = -np.expm1((1.0 - 1.0 / gamma) * np.log1p(np.maximum(b - lo, 0.0) / lo))
+        return below + gamma / (1.0 - gamma) * lo * (c / lo) ** (1.0 / gamma) * span
+
+
 def window_overlap_profile(params: ModelParams, z, w: float, n: float):
     """g(z, w) = integral over u in (0,1] of |[z - rho, z + rho] ∩ [0, n]|,
     with rho = c * u^-gamma and c = beta * w^-gamma'.  Vectorized over z.
 
-    The overlap is a + b * rho on each of the three u-panels between the
-    kinks where rho crosses |z| and |z - n|.  Each panel is substituted
-    u = v^r with r = 6/(1 - gamma): then rho du = c r v^5 dv and
-    a du = a r v^(r-1) dv, so no panel has a near-singular end.  Outside
-    the window the two parts nearly cancel as gamma -> 0 (the overlap
-    rho - |z - n| is a fraction ~gamma of rho), which multiplies the Gauss
-    error of v^(r-1) by ~1/gamma; with r = 4/(1 - gamma) that error reached
-    2.6e-9 relative, with r = 6/(1 - gamma) it is below 1e-11.
+    The overlap grows at rate 1 in rho for each window end farther than rho
+    from z, so the u-integral is exact: _mass_above from 0 to each window
+    end for z inside [0, n], and from the near end to the far end outside.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _overlap_profile(params, z, w, n, np.empty((4, len(z), PROFILE_U_ORDER)))
-
-
-def _overlap_profile(params: ModelParams, z, w: float, n: float, work):
-    """window_overlap_profile at the 1-d array z, with work[:, :len(z)] of a
-    (4, >= len(z), PROFILE_U_ORDER) array as its scratch space."""
-    r = 6.0 / (1.0 - params.gamma)
     c = params.beta * w ** (-params.gamma_prime)
-    k1, k2 = (_kink(c, np.abs(crit), r * params.gamma) for crit in (z, z - n))
-    # both kinks lie in [0, 1], so the panel edges need no sort
-    near, far = np.minimum(k1, k2), np.maximum(k1, k2)
-    zz = z[:, None]
-    rest = n - zz
-    rho, part, v, wv = work[:, : len(z)]
-    total = np.zeros_like(z)
-    for lo, hi in ((0.0, near), (near, far), (far, 1.0)):
-        gl_panel(lo, hi, PROFILE_U_ORDER, out=(v, wv))
-        # a zero-width panel at v = 0 has its nodes on 0; it weighs 0, so
-        # its nodes move to 1
-        v[v <= 0.0] = 1.0
-        log_v = np.log(v, out=v)
-        np.exp(np.multiply(log_v, -r * params.gamma, out=rho), out=rho)
-        rho *= c
-        # the overlap is min(rho, n - z) + min(rho, z), clipped at 0; in
-        # this order it does not cancel where rho is close to the distance
-        # to the window
-        np.minimum(rho, rest, out=part)
-        np.minimum(rho, zz, out=rho)
-        np.maximum(np.add(part, rho, out=rho), 0.0, out=rho)
-        np.exp(np.multiply(log_v, r - 1.0, out=part), out=part)
-        part *= wv
-        part *= rho
-        total += part.sum(axis=-1)
-    return r * total
+    inside = (z >= 0.0) & (z <= n)
+    near = np.where(inside, 0.0, np.maximum(-z, z - n))
+    far = np.where(inside, z, np.maximum(z, n - z))
+    rest = np.where(inside, n - z, 0.0)
+    return _mass_above(c, params.gamma, near, far) + _mass_above(c, params.gamma, 0.0, rest)
 
 
 def _window_z_rule(n: float, c: float):
@@ -237,10 +214,6 @@ def window_pair_spatial_quad(params: ModelParams, n: float, power: float = 2.0):
     # below U_FLOOR the w-mass is negligible, and c(w) could overflow
     w_n, w_half = np.maximum(_kink(params.beta, np.array([n, n / 2.0]), gp), U_FLOOR)
     total = 0.0
-    # one scratch array for the profiles of every w-node: a new one per node
-    # would grow and trim the heap once per node in a process whose
-    # allocator thresholds are still at their defaults
-    work = np.empty((4, 0, PROFILE_U_ORDER))
     for lo, hi, r in (
         (0.0, w_n, 4.0 / (1.0 - gp)),
         (w_n, w_half, 4.0 / (1.0 - gp)),
@@ -252,9 +225,7 @@ def window_pair_spatial_quad(params: ModelParams, n: float, power: float = 2.0):
         for vk, wk in zip(v.ravel(), wv.ravel()):
             w = vk**r
             z, wz = _window_z_rule(n, params.beta * w ** (-gp))
-            if len(z) > work.shape[1]:
-                work = np.empty((4, len(z), PROFILE_U_ORDER))
-            g = _overlap_profile(params, z, w, n, work)
+            g = window_overlap_profile(params, z, w, n)
             total += wk * r * vk ** (r - 1.0) * float(wz @ g**power)
     return 2.0 * float(total)
 

@@ -18,6 +18,7 @@ from drchm import catalog, experiments
 from drchm.catalog import (
     BOUND_SLACK,
     EQUALITY_TOLERANCE,
+    _chain_sum,
     _chk_pm_chain_finite,
     _common_w_integral,
     _pair_numeric,
@@ -524,6 +525,30 @@ def test_chain_finite_reference_is_finite():
         for value, reference in _chk_pm_chain_finite(rng):
             assert math.isfinite(reference)
             assert value <= reference
+
+
+def _chain_sum_dense(a1, a2, t1, t2):
+    """_chain_sum's former body, kept as its reference: the double sum over
+    a (nodes, nodes) array of caps."""
+    s, ws = half_line_rule()
+    cap = np.clip(min(t1, t2) - np.maximum(t1 - s[:, None], t2 - s[None, :]), 0.0, None)
+    f1 = ws * s**a1 * exp_tail(s)
+    f2 = ws * s**a2 * exp_tail(s)
+    return float((f1[:, None] * f2[None, :] * cap).sum())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    a1=st.floats(0.2, 2.0),
+    a2=st.floats(0.2, 2.0),
+    t1=st.floats(0.0, 1.0),
+    t2=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_chain_sum_equals_dense_double_sum(a1, a2, t1, t2):
+    # t2 None stands for t1 == t2, where x and y tie at every node
+    t2 = t1 if t2 is None else t2
+    reference = _chain_sum_dense(a1, a2, t1, t2)
+    assert _chain_sum(a1, a2, t1, t2) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 def test_slack_is_tight():
