@@ -32,6 +32,8 @@ from .model import (
 )
 from .oracles import (
     HALF_LINE_CUTOFF,
+    _lower_gamma,
+    _upper_gamma,
     exp_tail,
     gauss_rule,
     gl_panel,
@@ -83,27 +85,6 @@ class CatalogRecord:
 
 # ---------------------------------------------------------------------------
 # shared numeric building blocks
-
-
-def _lower_gamma(a: float, x):
-    """Lower incomplete gamma function gamma(a, x) for 0 <= x <= 6 by its
-    series x^a e^-x / a * sum_k x^k / ((a + 1) ... (a + k)) (DLMF 8.7.1),
-    summed by Horner's rule; 40 terms reach round-off there for a >= 1."""
-    total = np.ones_like(x)
-    for k in range(39, 0, -1):
-        total *= x / (a + k)
-        total += 1.0
-    return x**a * np.exp(-x) * total / a
-
-
-def _upper_gamma(a: float, x):
-    """Upper incomplete gamma function Gamma(a, x) for x >= 6 by its
-    continued fraction (DLMF 8.9.2; Numerical Recipes 6.2), evaluated bottom
-    up from depth 20, which reaches round-off there for a <= 6."""
-    t = x + 41.0 - a
-    for k in range(20, 0, -1):
-        t = x + (2 * k - 1 - a) - k * (k - a) / t
-    return x**a * np.exp(-x) / t
 
 
 def _powexp(alpha: float, lo, hi):
@@ -196,14 +177,6 @@ def _pm_profile_inner(r, t1: float, t2: float, sign: str):
 # spatial helpers for pair integrals over the window
 
 
-def _interval_overlap(r1, r2, d):
-    """Overlap length of intervals of radii r1, r2 with centres d >= 0 apart;
-    2 * min(r1, r2) in the nested range, where no radius cancels against d."""
-    ov = (r1 + r2) - d
-    np.minimum(ov, 2.0 * np.minimum(r1, r2), out=ov)
-    return np.maximum(ov, 0.0, out=ov)
-
-
 def _common_w_integral(params: ModelParams, d, a1, a2):
     """Numeric integral over w in (0, 1] of the overlap of the two connection
     intervals at spatial distance d, with radii beta * ai * w^-gamma', for
@@ -213,14 +186,15 @@ def _common_w_integral(params: ModelParams, d, a1, a2):
     weights where |rho1 - rho2| = d and rho1 + rho2 = d.  q = v^(s-1) is both
     w^gamma' and, times s, the Jacobian dw/dv; as the overlap is homogeneous,
     the integrand is s times the overlap of radii beta * ai at distance d * q.
-    It is constant on the nested panel, so one node is exact there; the
-    _OVERLAP_ORDER-node rule runs only on the (pair, distance) entries whose
-    partial panel has positive width, _LIVE_ROWS of them at a time.
+    On the nested panel that overlap is the constant 2 beta min(a1, a2), so
+    the panel is that constant times s * v_dif, and no radius cancels against
+    d.  On the partial panel it is beta (a1 + a2) - d * q, so the
+    _OVERLAP_ORDER-node rule, whose weights sum to 2, needs one power of v
+    per node; it runs only on the (pair, distance) entries whose partial
+    panel has positive width, _LIVE_ROWS of them at a time.
     """
     gp = params.gamma_prime
     s = 1.0 / (1.0 - gp)
-    b1 = params.beta * a1[:, None]
-    b2 = params.beta * a2[:, None]
     b_sum = params.beta * (a1 + a2)[:, None]
     b_dif = params.beta * np.abs(a1 - a2)[:, None]
     with np.errstate(over="ignore"):
@@ -229,16 +203,18 @@ def _common_w_integral(params: ModelParams, d, a1, a2):
     # the kink weights w become v = w^(1 - gamma') in place
     v_sum **= 1.0 - gp
     v_dif **= 1.0 - gp
-    out = _interval_overlap(b1, b2, d * (0.5 * v_dif) ** (s - 1.0)) * (s * v_dif)
+    out = (2.0 * params.beta * np.minimum(a1, a2)[:, None]) * (s * v_dif)
     pi, di = np.nonzero(v_sum > v_dif)
     x, wx = gauss_rule(_OVERLAP_ORDER)
     for lo in range(0, len(pi), _LIVE_ROWS):
         p, k = pi[lo : lo + _LIVE_ROWS], di[lo : lo + _LIVE_ROWS]
         half = 0.5 * (v_sum[p, k] - v_dif[p, k])
-        q = (v_dif[p, k][:, None] + half[:, None] * (x + 1.0)) ** (s - 1.0)
-        q *= d[k][:, None]
-        ov = _interval_overlap(b1[p], b2[p], q) * wx
-        out[p, k] += ov.sum(axis=1) * (s * half)
+        q = np.multiply(half[:, None], x + 1.0)
+        q += v_dif[p, k][:, None]
+        np.power(q, s - 1.0, out=q)
+        # einsum's sum over the nodes does not depend on the row count, so
+        # one call over many distances is the column stack of single ones
+        out[p, k] += (2.0 * b_sum[p, 0] - d[k] * np.einsum("ij,j->i", q, wx)) * (s * half)
     return out
 
 

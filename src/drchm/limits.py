@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, require_gaussian, require_stable
-from .oracles import adjudicated_constants, stable_mean
+from .oracles import _lower_gamma, adjudicated_constants, stable_mean
 from .rng import stream_generator
 from .sampler import (
     LimitPointSample,
@@ -57,8 +57,6 @@ class GaussianGrid:
     def build(cls, params: ModelParams, times) -> "GaussianGrid":
         """The innovation factors for the adjudicated constant set, in closed
         form per grid step so that tiny steps do not cancel."""
-        from scipy import special  # on first use: it is most of a cold start
-
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("grid times must be a nonempty 1-d sequence")
@@ -73,9 +71,10 @@ class GaussianGrid:
         require_gaussian(params)
         c = adjudicated_constants(params)
         # Unit-scale innovation covariances per step h: 1 - e^-2h for the OU
-        # part, I - Phi Phi^T for the CAR(2) state (q11 = P(3, 2h)).
+        # part, I - Phi Phi^T for the CAR(2) state (q11 = P(3, 2h) =
+        # gamma(3, 2h) / 2, by the series, as 2h <= 2 on a grid in [0, 1]).
         h = np.diff(times)
-        q11 = special.gammainc(3, 2.0 * h)
+        q11 = _lower_gamma(3.0, 2.0 * h) / 2.0
         q12 = 2.0 * h**2 * np.exp(-2.0 * h)
         q22 = -np.expm1(-2.0 * h) + np.exp(-2.0 * h) * (2.0 * h - 2.0 * h**2)
         innovation = np.zeros((len(times), 3, 3))

@@ -123,6 +123,31 @@ def _kink(scale, crit, exponent: float):
 
 
 # ---------------------------------------------------------------------------
+# incomplete gamma functions
+
+
+def _lower_gamma(a: float, x):
+    """Lower incomplete gamma function gamma(a, x) for 0 <= x <= 6 by its
+    series x^a e^-x / a * sum_k x^k / ((a + 1) ... (a + k)) (DLMF 8.7.1),
+    summed by Horner's rule; 40 terms reach round-off there for a >= 1."""
+    total = np.ones_like(x)
+    for k in range(39, 0, -1):
+        total *= x / (a + k)
+        total += 1.0
+    return x**a * np.exp(-x) * total / a
+
+
+def _upper_gamma(a: float, x):
+    """Upper incomplete gamma function Gamma(a, x) for x >= 6 by its
+    continued fraction (DLMF 8.9.2; Numerical Recipes 6.2), evaluated bottom
+    up from depth 20, which reaches round-off there for a <= 6."""
+    t = x + 41.0 - a
+    for k in range(20, 0, -1):
+        t = x + (2 * k - 1 - a) - k * (k - a) / t
+    return x**a * np.exp(-x) / t
+
+
+# ---------------------------------------------------------------------------
 # spatial integrals
 
 

@@ -366,6 +366,39 @@ def test_common_w_integral_one_power(gamma_prime, beta, a, far):
     np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
 
 
+def _pair_distances(n):
+    """The 240 distances at which _pair_numeric calls the overlap kernel."""
+    edges = np.concatenate([[0.0], n * 2.0 ** np.arange(-14.0, 1.0)])
+    return np.concatenate([gl_panel(lo, hi, 16)[0].ravel() for lo, hi in zip(edges[:-1], edges[1:])])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    shared=st.booleans(),
+    gamma=st.floats(0.05, 0.45),
+    gamma_prime=st.floats(0.05, 0.9),
+    beta=st.floats(0.1, 1.0),
+    n=st.sampled_from([3.0, 10.0, 20.0]),
+)
+def test_common_w_integral_at_catalog_shapes(shared, gamma, gamma_prime, beta, n):
+    # the 300 unordered node pairs of power_rule(gamma), or the 576 pairs of
+    # it and power_rule(2 gamma), at the 240 distances of _pair_numeric; the
+    # reference runs one distance panel at a time to keep its arrays small
+    params = ModelParams(beta=beta, gamma=gamma, gamma_prime=gamma_prime, n=n)
+    u1 = power_rule(gamma)[0]
+    u2 = u1 if shared else power_rule(2.0 * gamma)[0]
+    if shared:
+        i, j = np.triu_indices(len(u1))
+    else:
+        i, j = (k.ravel() for k in np.indices((len(u1), len(u2))))
+    a1, a2 = u1[i] ** -gamma, u2[j] ** -gamma
+    d = _pair_distances(n)
+    assert (len(a1), len(d)) == ((300 if shared else 576), 240)
+    value = _common_w_integral(params, d, a1, a2)
+    reference = np.hstack([_overlap_three_powers(params, d[k : k + 16], a1, a2) for k in range(0, 240, 16)])
+    np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
+
+
 def _overlap_pairs(shared):
     """(a1, a2) pairs as _pair_numeric forms them: the unordered node pairs
     of one mark rule, or every pair of two distinct rules."""
@@ -507,15 +540,19 @@ def test_common_w_integral_edge_distances(gamma_prime):
 @pytest.mark.parametrize("r1", [3.5e7, 1e10, 1e200])
 @pytest.mark.parametrize("r2", [1e-3, 2.2e-7, 1.3e-12])
 @pytest.mark.parametrize("d", [7.0, 300.0, 1e6])
-def test_interval_overlap_is_exact_when_nested(r1, r2, d):
-    # r2 << d << r1: the short interval lies inside the long one, and the
-    # overlap 2 r2 must not lose r2's digits against d
-    exact = min(Fraction(r1), Fraction(d) + Fraction(r2)) - max(
-        -Fraction(r1), Fraction(d) - Fraction(r2)
-    )
-    for a, b in ((r1, r2), (r2, r1)):
-        value = catalog._interval_overlap(np.array([a]), np.array([b]), np.array([d]))
-        assert value[0] == float(exact)
+@pytest.mark.parametrize("gamma_prime", [0.05, 0.35, 0.9])
+def test_common_w_integral_keeps_digits_when_nested(r1, r2, d, gamma_prime):
+    # radii r2 << d << r1 at w = 1, and larger for every smaller w: the short
+    # interval lies inside the long one for every w, so the integral is
+    # 2 beta min(a1, a2) s exactly, and it must not lose r2's digits against d
+    beta = 0.3
+    params = ModelParams(beta=beta, gamma=0.3, gamma_prime=gamma_prime, n=10.0)
+    s = 1.0 / (1.0 - gamma_prime)
+    a1, a2 = r1 / beta, r2 / beta
+    exact = 2 * Fraction(beta) * Fraction(min(a1, a2)) * Fraction(s)
+    value = _common_w_integral(params, np.array([d]), np.array([a1, a2]), np.array([a2, a1]))
+    for v in value[:, 0]:
+        assert abs(Fraction(v) - exact) <= Fraction(np.spacing(float(exact)))
 
 
 def test_chain_finite_reference_is_finite():

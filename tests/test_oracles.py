@@ -242,15 +242,17 @@ class TestWindowPair:
 
     def test_frozen_values(self):
         # References computed with the closed-form profile above, integrated
-        # over z by adaptive quad split at the kinks (epsrel 1e-13) and over w
-        # by adaptive quad (epsrel 1e-12)
+        # over z by adaptive quad split at the kinks and at c * 2^k beyond n,
+        # with a tail to infinity (epsrel 1e-13), and over w by adaptive quad
+        # on the w-rule's three substituted panels (epsrel 1e-12 and 1e-13
+        # give the same digits); the oracle meets them to 1.3e-12 and 3e-12
         g20 = ModelParams(0.25, 0.2, 0.2, 20.0)
         g500 = ModelParams(0.25, 0.2, 0.2, 500.0)
         assert window_pair_spatial_quad(g20, 20.0) == pytest.approx(
-            12.797653642658164, rel=1e-9
+            12.797653642658164, rel=1e-11
         )
         assert window_pair_spatial_quad(g500, 500.0) == pytest.approx(
-            325.29761919393326, rel=1e-9
+            325.29761910318894, rel=1e-11
         )
 
     def test_frozen_value_heavy_tailed_cube(self):
