@@ -53,11 +53,8 @@ from .rng import stream_generator
 
 EQUALITY_TOLERANCE = 1e-6
 BOUND_SLACK = 1e-6
-# Gauss nodes per panel of the pair-overlap w-integral, and the live
-# (pair, distance) entries whose partial panel is evaluated at once: 1 024
-# rows of 16 nodes keep each temporary at 128 KB.
+# Gauss nodes per panel of the pair-overlap w-integral.
 _OVERLAP_ORDER = 16
-_LIVE_ROWS = 1024
 # Where _powexp switches from the incomplete gamma series to the continued
 # fraction; the term counts of _lower_gamma and _upper_gamma reach round-off
 # on their side of it.
@@ -182,39 +179,32 @@ def _common_w_integral(params: ModelParams, d, a1, a2):
     intervals at spatial distance d, with radii beta * ai * w^-gamma', for
     each pair (a1[k], a2[k]).  Returns an array of shape (len(a1), len(d)).
 
-    Substitutes w = v^(1/(1-gamma')) and places panel edges at the two kink
-    weights where |rho1 - rho2| = d and rho1 + rho2 = d.  q = v^(s-1) is both
-    w^gamma' and, times s, the Jacobian dw/dv; as the overlap is homogeneous,
-    the integrand is s times the overlap of radii beta * ai at distance d * q.
-    On the nested panel that overlap is the constant 2 beta min(a1, a2), so
-    the panel is that constant times s * v_dif, and no radius cancels against
-    d.  On the partial panel it is beta (a1 + a2) - d * q, so the
-    _OVERLAP_ORDER-node rule, whose weights sum to 2, needs one power of v
-    per node; it runs only on the (pair, distance) entries whose partial
-    panel has positive width, _LIVE_ROWS of them at a time.
+    Substitutes w = v^s, s = 1/(1-gamma'), and places panel edges at the two
+    kinks v = min((b/d)^((1-gamma')/gamma'), 1), b = beta |a1 - a2| and
+    beta (a1 + a2).  q = v^(gamma'/(1-gamma')) is both w^gamma' and, times s,
+    the Jacobian dw/dv; as the overlap is homogeneous, the integrand is s
+    times the overlap of radii beta * ai at distance d * q.  On the nested
+    panel that overlap is the constant 2 beta min(a1, a2), so the panel is
+    that constant times s * v_dif, and no radius cancels against d.  On the
+    partial panel it is beta (a1 + a2) - d * q, which cancels, so q's
+    exponent is not the rounded s - 1; the _OVERLAP_ORDER-node rule, whose
+    weights sum to 2, runs on the vector of entries whose partial panel has
+    positive width, elementwise, so no entry depends on the call's shape.
     """
     gp = params.gamma_prime
     s = 1.0 / (1.0 - gp)
     b_sum = params.beta * (a1 + a2)[:, None]
     b_dif = params.beta * np.abs(a1 - a2)[:, None]
     with np.errstate(over="ignore"):
-        v_sum = np.minimum((b_sum / d) ** (1.0 / gp), 1.0)
-        v_dif = np.minimum((b_dif / d) ** (1.0 / gp), 1.0)
-    # the kink weights w become v = w^(1 - gamma') in place
-    v_sum **= 1.0 - gp
-    v_dif **= 1.0 - gp
+        v_sum = np.minimum((b_sum / d) ** ((1.0 - gp) / gp), 1.0)
+        v_dif = np.minimum((b_dif / d) ** ((1.0 - gp) / gp), 1.0)
     out = (2.0 * params.beta * np.minimum(a1, a2)[:, None]) * (s * v_dif)
-    pi, di = np.nonzero(v_sum > v_dif)
-    x, wx = gauss_rule(_OVERLAP_ORDER)
-    for lo in range(0, len(pi), _LIVE_ROWS):
-        p, k = pi[lo : lo + _LIVE_ROWS], di[lo : lo + _LIVE_ROWS]
-        half = 0.5 * (v_sum[p, k] - v_dif[p, k])
-        q = np.multiply(half[:, None], x + 1.0)
-        q += v_dif[p, k][:, None]
-        np.power(q, s - 1.0, out=q)
-        # einsum's sum over the nodes does not depend on the row count, so
-        # one call over many distances is the column stack of single ones
-        out[p, k] += (2.0 * b_sum[p, 0] - d[k] * np.einsum("ij,j->i", q, wx)) * (s * half)
+    p, k = np.nonzero(v_sum > v_dif)
+    lo, half = v_dif[p, k], 0.5 * (v_sum[p, k] - v_dif[p, k])
+    wq = np.zeros(len(p))
+    for node, weight in zip(*gauss_rule(_OVERLAP_ORDER)):
+        wq += weight * (lo + half * (node + 1.0)) ** (gp / (1.0 - gp))
+    out[p, k] += (2.0 * b_sum[p, 0] - d[k] * wq) * (s * half)
     return out
 
 

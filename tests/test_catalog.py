@@ -366,6 +366,19 @@ def test_common_w_integral_one_power(gamma_prime, beta, a, far):
     np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
 
 
+def test_common_w_integral_where_the_exponent_rounds():
+    # near gamma' = 0.05 the partial panel's 2 beta (a1 + a2) - d sum w q
+    # cancels and amplifies any error in the node power's exponent: here
+    # 1/(1 - gamma') - 1 is 2.2e-15 relative off gamma'/(1 - gamma'), which
+    # put the value 1.2e-13 off the reference
+    params = ModelParams(beta=0.6011954296285025, gamma=0.05804904716502435, gamma_prime=0.052149628245230686, n=20.0)
+    d = np.array([19.94700467495825])
+    a1, a2 = np.array([1.0036097148624716]), np.array([1.0220983540945423])
+    value = _common_w_integral(params, d, a1, a2)
+    reference = _overlap_three_powers(params, d, a1, a2)
+    np.testing.assert_allclose(value, reference, rtol=1e-13, atol=0.0)
+
+
 def _pair_distances(n):
     """The 240 distances at which _pair_numeric calls the overlap kernel."""
     edges = np.concatenate([[0.0], n * 2.0 ** np.arange(-14.0, 1.0)])
@@ -431,29 +444,29 @@ def test_overlap_over_distances_equals_single_distances(shared, distances, pairs
 
 def _live_entries(params, d, a1, a2):
     """Number of (pair, distance) entries whose partial panel has positive
-    width, that is whose kink weights satisfy w- < w+."""
-    gp = params.gamma_prime
-    big = params.beta * (a1 + a2)[:, None] / d
-    small = params.beta * np.abs(a1 - a2)[:, None] / d
-    return int(np.count_nonzero(np.minimum(big ** (1 / gp), 1.0) > np.minimum(small ** (1 / gp), 1.0)))
+    width, that is whose kinks satisfy v- < v+, each one power of b / d."""
+    e = (1.0 - params.gamma_prime) / params.gamma_prime
+    v_sum = np.minimum((params.beta * (a1 + a2)[:, None] / d) ** e, 1.0)
+    v_dif = np.minimum((params.beta * np.abs(a1 - a2)[:, None] / d) ** e, 1.0)
+    return int(np.count_nonzero(v_sum > v_dif))
 
 
 @pytest.mark.parametrize(
     "pairs, distances, live",
-    [(8, 8, 0), (10, 7, 70), (64, 16, catalog._LIVE_ROWS), (41, 25, catalog._LIVE_ROWS + 1)],
+    [(8, 8, 0), (8, 25, 24), (10, 7, 70), (41, 25, 1025)],
+    ids=["none", "few", "all-small", "all-large"],
 )
-def test_overlap_slices_equal_single_distances(pairs, distances, live):
-    # equal radii are live at every distance, and radii 1 and 9 at beta 0.4
-    # are nested below d = 3.2: no live entry, fewer than one slice of live
-    # rows, exactly one, and one slice plus one row, against one call per
-    # distance, whose at most 64 live rows never fill a slice
+def test_overlap_live_entries_equal_single_distances(pairs, distances, live):
+    # radii 1 and 9 at beta 0.4 are nested below d = 3.2, and equal radii are
+    # live at every distance: no live entry, the 3 distances above 3.2 of 25
+    # up to 10, and every entry, against one call per distance, bit for bit
     params = ModelParams(beta=0.4, gamma=0.3, gamma_prime=0.35, n=10.0)
-    if live:
+    if live == pairs * distances:
         a1 = a2 = np.geomspace(1.0, 5.0, pairs)
         d = np.geomspace(1e-3, 10.0, distances)
     else:
         a1, a2 = np.tile([1.0, 9.0], pairs // 2), np.tile([9.0, 1.0], pairs // 2)
-        d = np.geomspace(1e-3, 3.0, distances)
+        d = np.geomspace(1e-3, 3.0 if live == 0 else 10.0, distances)
     assert _live_entries(params, d, a1, a2) == live
     value = _common_w_integral(params, d, a1, a2)
     columns = [_common_w_integral(params, d[k : k + 1], a1, a2) for k in range(distances)]
@@ -462,8 +475,9 @@ def test_overlap_slices_equal_single_distances(pairs, distances, live):
 
 def test_overlap_memory_is_bounded():
     # 625 pairs at 16 distances, all 10 000 entries live: the partial panels
-    # run in slices of _LIVE_ROWS rows, so the traced peak of one call is
-    # about 1.0 MB; one (live, 16) array per temporary takes it to 4.4 MB
+    # are one pass over a vector of the 10 000 live entries, so the traced
+    # peak of one call is about 0.98 MB; one (live, 16) array of nodes
+    # would add 1.3 MB
     params = ModelParams(beta=0.4, gamma=0.3, gamma_prime=0.35, n=10.0)
     a = np.geomspace(1.0, 5.0, 25)
     i, j = (k.ravel() for k in np.indices((25, 25)))
@@ -523,7 +537,7 @@ def test_common_w_integral_nested_matches_closed_form(gamma_prime, beta, a_small
 def test_common_w_integral_edge_distances(gamma_prime):
     # distances from the smallest subnormal to 1e300 and radii up to 1e200:
     # every value is finite and >= 0, zero-width panels give 0, and nothing
-    # overflows or warns; where both kinks underflow the integral is 0
+    # overflows or warns
     params = ModelParams(beta=0.5, gamma=0.3, gamma_prime=gamma_prime, n=10.0)
     a = np.array([1e-3, 1.0, 1e200])
     i, j = (k.ravel() for k in np.indices((3, 3)))
@@ -533,8 +547,18 @@ def test_common_w_integral_edge_distances(gamma_prime):
         value = _common_w_integral(params, d, a[i], a[j])
     assert np.all(np.isfinite(value)) and np.all(value >= 0.0)
     assert np.all(value[:, 0] > 0.0)
-    both_small = (a[i] < 1e200) & (a[j] < 1e200)
-    assert np.all(value[both_small, 3] == 0.0)
+    # at d = 1e300 and gamma' = 0.9 the kinks w = (b/d)^(1/gamma') underflow
+    # but the integral does not: _overlap_closed_form with each power taken
+    # as exp(log ...) and each difference of two powers by expm1
+    beta, gp, p, far = params.beta, gamma_prime, 1.0 - gamma_prime, d[3]
+    big, small = beta * (a[i] + a[j]), beta * np.abs(a[i] - a[j])
+    with np.errstate(divide="ignore"):
+        log_plus = np.minimum(np.log(big / far) / gp, 0.0)
+        gap = np.minimum(np.log(small / far) / gp, 0.0) - log_plus
+    v_plus, dw_plus = np.exp(p * log_plus), np.exp(np.log(far) + log_plus)
+    nested = 2.0 * beta * np.minimum(a[i], a[j]) * v_plus * np.exp(p * gap) / p
+    reference = nested - big * v_plus * np.expm1(p * gap) / p + dw_plus * np.expm1(gap)
+    np.testing.assert_allclose(value[:, 3], reference, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("r1", [3.5e7, 1e10, 1e200])
