@@ -73,6 +73,16 @@ def _write_csv(path, times, values) -> None:
             writer.writerow([repr(float(t)), repr(float(v))])
 
 
+# Consecutive bands are paired as one group while their reach factors
+# band_w_lo**(-gamma_prime) stay under this multiple of the group's first.
+_GROUP_SPREAD = 2.0
+
+# Birth classes, by descending floor: a vertex born at b can meet only
+# interactions at r >= b, so one born at or after a floor searches only the
+# interactions at or after that floor.
+_BIRTH_FLOORS = (0.0, -1.0, -np.inf)
+
+
 def build_edges(
     params: ModelParams,
     vs: VertexSample,
@@ -80,50 +90,72 @@ def build_edges(
 ) -> EdgeSet:
     """All connected (vertex, interaction) pairs.
 
-    The vertices are sorted by position once, and each vertex's radius
-    factor beta * u**(-gamma) and each interaction's w**(-gamma_prime) are
-    computed once.  The interactions arrive band after band (band_counts),
-    and one band is paired at a time: within a band every radius is at most
-    the vertex's radius against the band's lower weight edge band_w_lo, so
-    after sorting the band by position, two sorted range queries with the
-    vertices' positions as sorted query centres yield every candidate pair.
-    The exact predicate alone decides which candidates are edges, so the
-    edge set does not depend on the vertex order or on the band partition;
-    only the order of the returned edges (band, then vertex position, then
-    interaction position) does.
+    Each vertex's radius factor beta * u**(-gamma) and each interaction's
+    w**(-gamma_prime) are computed once.  The interactions arrive band after
+    band (band_counts), and consecutive nonempty bands are paired as one
+    group while their reach factors band_w_lo**(-gamma_prime) stay within a
+    factor 2 of the group's first: every radius in the group is at most the
+    vertex's radius times the group's largest factor.  An edge needs
+    birth <= r, so the vertices fall into birth classes by the highest
+    floor (0, -1, -inf) at or below their birth, and each class is matched
+    only against the group's interactions with r at or above its floor.
+    With the vertices sorted by (class, position) once and those nested
+    subsets sorted by position, one pair of sorted range queries per vertex
+    and group yields every candidate pair.  The exact predicate alone
+    decides which candidates are edges, so the edge set does not depend on
+    the vertex order, the grouping or the classes; only the order of the
+    returned edges (group, class, vertex position, interaction position)
+    does, and no caller reads it.
     """
     if len(vs) == 0 or len(interactions) == 0:
         return _no_edges()
 
+    # Sorted by birth class, then position; class k is born at or after
+    # _BIRTH_FLOORS[k] and before the floor above it.
+    v_class = np.count_nonzero(vs.b[:, None] < _BIRTH_FLOORS, axis=1)
     v_order = np.argsort(vs.x)
+    v_order = v_order[np.argsort(v_class[v_order], kind="stable")]
+    class_end = np.cumsum(np.bincount(v_class, minlength=len(_BIRTH_FLOORS))).tolist()
+    classes = [slice(a, b) for a, b in zip([0] + class_end, class_end)]
     x = vs.x[v_order]
     v_radius = params.beta * vs.u[v_order] ** (-params.gamma)
     birth = vs.b[v_order]
     death = vs.death[v_order]
     w_factor = interactions.w ** (-params.gamma_prime)
+    lo = np.empty(len(vs), dtype=np.intp)
+    hi = np.empty(len(vs), dtype=np.intp)
     parts = []
-    end = 0
-    bands = zip(interactions.band_counts.tolist(), interactions.band_w_lo.tolist())
-    for count, w_lo in bands:
-        start, end = end, end + count
-        if count == 0:
-            continue
+    for start, end, factor in _band_groups(interactions, params.gamma_prime):
         order = start + np.argsort(interactions.z[start:end])
         z = interactions.z[order]
-        reach = v_radius * w_lo ** (-params.gamma_prime)
-        lo = np.searchsorted(z, x - reach, side="left")
-        hi = np.searchsorted(z, x + reach, side="right")
-        # Candidate k of vertex q is the band's (lo[q] + k)-th by position.
+        r_by_z = interactions.r[order]
+        reach = v_radius * factor
+        # Class k searches the group's interactions at or after its floor,
+        # by position; the pool holds these nested subsets end to end.
+        subsets = []
+        offset = 0
+        for floor, cls in zip(_BIRTH_FLOORS, classes):
+            keep = r_by_z >= floor
+            subsets.append(order[keep])
+            zk = z[keep]
+            lo[cls] = offset + np.searchsorted(zk, x[cls] - reach[cls], side="left")
+            hi[cls] = offset + np.searchsorted(zk, x[cls] + reach[cls], side="right")
+            offset += len(zk)
+        pool = np.concatenate(subsets)
+        # Candidate k of vertex q is the pool's (lo[q] + k)-th.
         counts = hi - lo
         vrep = np.repeat(np.arange(len(vs)), counts)
         shift = lo - (np.cumsum(counts) - counts)
-        idx = order[np.arange(len(vrep)) + np.repeat(shift, counts)]
+        idx = pool[np.arange(len(vrep)) + np.repeat(shift, counts)]
         # The exact predicate; the cheaper time test runs first and thins
-        # the candidates before the spatial test.
+        # the candidates before the spatial test.  Survivors are taken by
+        # index, found once for the three arrays they select from.
         r = interactions.r[idx]
-        alive = (birth[vrep] <= r) & (r <= death[vrep])
+        alive = np.flatnonzero((birth[vrep] <= r) & (r <= death[vrep]))
         vrep, idx, r = vrep[alive], idx[alive], r[alive]
-        near = np.abs(x[vrep] - interactions.z[idx]) <= v_radius[vrep] * w_factor[idx]
+        near = np.flatnonzero(
+            np.abs(x[vrep] - interactions.z[idx]) <= v_radius[vrep] * w_factor[idx]
+        )
         parts.append((vrep[near], idx[near], r[near]))
     vrep, idx, r = (np.concatenate(arrays) for arrays in zip(*parts))
     return EdgeSet(
@@ -132,6 +164,28 @@ def build_edges(
         activation=r,
         deactivation=death[vrep],
     )
+
+
+def _band_groups(interactions: InteractionSample, gamma_prime: float) -> list:
+    """(start, end, reach factor) of each group of consecutive nonempty
+    bands: a band joins the group before it while its factor
+    band_w_lo**(-gamma_prime) is under _GROUP_SPREAD times the group's
+    first, and the group's factor is its largest."""
+    groups = []
+    end = 0
+    bands = zip(interactions.band_counts.tolist(), interactions.band_w_lo.tolist())
+    for count, w_lo in bands:
+        end += count
+        if count == 0:
+            continue
+        factor = w_lo ** (-gamma_prime)
+        if groups and factor < _GROUP_SPREAD * first:
+            start, _, top = groups[-1]
+            groups[-1] = (start, end, max(top, factor))
+        else:
+            groups.append((end - count, end, factor))
+            first = factor
+    return groups
 
 
 def _no_edges() -> EdgeSet:

@@ -27,7 +27,13 @@ from drchm.experiments import (
 )
 from drchm.model import MIN_BETA, ModelParams
 from drchm.oracles import mean_edge_count
-from drchm.paths import StepPath, build_edges, edge_count_path, mark_split_paths
+from drchm.paths import (
+    StepPath,
+    build_edges,
+    build_edges_brute_force,
+    edge_count_path,
+    mark_split_paths,
+)
 from drchm.sampler import SamplerConfig, sample_interactions, sample_vertices
 
 
@@ -268,6 +274,23 @@ class TestEnsemble:
         )
         assert _replicate_map(lambda s: s * s, range(10), 4) == [s * s for s in range(10)]
         assert started == pools
+
+    @pytest.mark.parametrize("n", [3.0, 20.0])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pairing_equals_brute_force_ensemble(self, monkeypatch, n, workers):
+        # Criterion 7's shape, mark split: every array of the ensemble is
+        # bit for bit the one the all-pairs oracle gives, whatever order
+        # the indexed pairing returns its edges in.
+        params = ModelParams(0.25, 0.7, 0.2, n)
+        scfg = SamplerConfig(master_seed=24, w_min=1e-8)
+        args = (params, scfg, (0.25, 0.5, 0.75), 30)
+        kwargs = dict(u_threshold=n ** (-2.0 / 3.0), workers=workers)
+        fast = edge_count_ensemble(*args, **kwargs)
+        monkeypatch.setattr(experiments, "build_edges", build_edges_brute_force)
+        slow = edge_count_ensemble(*args, **kwargs)
+        assert fast["edges"].sum() > 0
+        for key in ("counts", "low_counts", "high_counts", "high_sup", "edges"):
+            assert fast[key].tobytes() == slow[key].tobytes(), key
 
     @pytest.mark.parametrize(
         "params, thr",

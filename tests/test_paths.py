@@ -1,5 +1,7 @@
 """Edge construction, step paths, and the exact pathwise identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,34 +125,50 @@ def _pairing_instances(draw):
     """A random model and sample, possibly without vertices or
     interactions, laid out band by band over a random geometric weight
     partition from 1 down to w_min: each band holds the interactions drawn
-    into it (often none), with weights between its edges."""
+    into it (often none), with weights between its edges.  gamma_prime runs
+    from 0.01, where every band joins one group, to 0.95, and w_min down to
+    5e-324, where radii overflow to inf.  Births reach back to -2 or to -8
+    (criterion 7's depth), and some births and interaction times sit exactly
+    on the birth-class floors 0 and -1, or interaction times on a birth or a
+    death."""
     p = ModelParams(
         beta=draw(st.floats(0.01, 1.0)),
         gamma=draw(st.floats(0.01, 0.95).filter(lambda g: g != 0.5)),
-        gamma_prime=draw(st.floats(0.01, 0.95)),
+        gamma_prime=draw(st.one_of(st.sampled_from((0.01, 0.95)), st.floats(0.01, 0.95))),
         n=draw(st.floats(0.5, 20.0)),
     )
-    w_min = 10.0 ** draw(st.floats(-10.0, -0.5))
+    w_min = draw(
+        st.one_of(
+            st.sampled_from((5e-324, 1e-300)),
+            st.floats(-10.0, -0.5).map(lambda e: 10.0**e),
+        )
+    )
     ratio = draw(st.floats(0.05, 0.95))
+    depth = draw(st.sampled_from((2.0, 8.0)))
     nv = draw(st.integers(0, 40))
     ni = draw(st.integers(0, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    edges = [1.0]
-    while edges[-1] > w_min:
-        edges.append(max(edges[-1] * ratio, w_min))
-    hi, lo = np.array(edges[:-1]), np.array(edges[1:])
+    # Powers of ratio from 1 down to w_min, in logs: near the smallest
+    # subnormal, multiplying by ratio can round back up and never get there.
+    steps = np.ceil(np.log(w_min) / np.log(ratio))
+    edges = np.unique(np.maximum(ratio ** np.arange(steps + 1.0), w_min))[::-1]
+    hi, lo = edges[:-1], edges[1:]
     band_counts = np.bincount(rng.integers(0, len(lo), ni), minlength=len(lo))
-    vs = VertexSample(
-        x=rng.uniform(0.0, p.n, nv),
-        u=1.0 - rng.random(nv),
-        b=rng.uniform(-2.0, 1.0, nv),
-        l=rng.exponential(size=nv) + 1e-9,
-    )
+    floors = np.array([0.0, -1.0])
+    b = rng.uniform(-depth, 1.0, nv)
+    b = np.where(rng.random(nv) < 0.2, rng.choice(floors, nv), b)
+    l = rng.exponential(size=nv) + 1e-9
+    r = rng.uniform(-depth, 1.0, ni)
+    ties = np.concatenate([floors, b, b + l])
+    r = np.where(rng.random(ni) < 0.3, rng.choice(ties, ni), r)
+    # Some vertices take the sampler's smallest weight, 2**-53.
+    u = np.where(rng.random(nv) < 0.1, 2.0**-53, 1.0 - rng.random(nv))
+    vs = VertexSample(x=rng.uniform(0.0, p.n, nv), u=u, b=b, l=l)
     inter = InteractionSample(
         z=rng.uniform(-p.n, 2.0 * p.n, ni),
         w=rng.uniform(np.repeat(lo, band_counts), np.repeat(hi, band_counts)),
-        r=rng.uniform(-2.0, 1.0, ni),
+        r=r,
         band_counts=band_counts,
         band_w_lo=lo,
     )
@@ -162,12 +180,18 @@ class TestPairingProperties:
     @given(_pairing_instances())
     def test_matches_brute_force(self, instance):
         p, vs, inter = instance
-        fast = build_edges(p, vs, inter)
-        assert _pair_key(fast) == _pair_key(build_edges_brute_force(p, vs, inter))
+        # A radius past the float range is inf in both routines, and reaches
+        # every position.
+        with np.errstate(over="ignore"):
+            fast = build_edges(p, vs, inter)
+            slow = build_edges_brute_force(p, vs, inter)
+        assert _pair_key(fast) == _pair_key(slow)
 
     def test_deep_band_uses_its_own_reach(self):
         # Band 1 holds the small weights and so needs the long reach of its
-        # own band_w_lo; edges come band by band, each band by position.
+        # own band_w_lo; its reach factor is far more than twice band 0's,
+        # so each band is its own group, and edges come group by group,
+        # each group by position.
         p = ModelParams(0.25, 0.7, 0.5, 10.0)
         vs = VertexSample(
             x=np.array([5.0]), u=np.array([1.0]), b=np.array([0.0]), l=np.array([1.0])
@@ -182,6 +206,46 @@ class TestPairingProperties:
         edges = build_edges(p, vs, inter)
         np.testing.assert_array_equal(edges.interaction_index, [1, 0, 2, 4, 3])
         assert _pair_key(edges) == _pair_key(build_edges_brute_force(p, vs, inter))
+
+    def test_group_queries_with_its_largest_reach(self):
+        # Reach factors band_w_lo**(-1/2) of 1, 1.9 and 1.2: all under twice
+        # the first, so the three bands form one group, which must query
+        # with 1.9, not with its first or last band's factor.  Interaction
+        # 1 sits 1.5 radii from the vertex, at its own band's lower edge.
+        p = ModelParams(0.25, 0.7, 0.5, 10.0)
+        vs = VertexSample(
+            x=np.array([5.0]), u=np.array([1.0]), b=np.array([0.0]), l=np.array([1.0])
+        )
+        w_lo = np.array([1.0, 1.9**-2, 1.2**-2])
+        inter = InteractionSample(
+            z=np.array([5.1, 5.0 + 0.25 * 1.5, 4.8]),
+            w=w_lo,
+            r=np.full(3, 0.5),
+            band_counts=np.array([1, 1, 1]),
+            band_w_lo=w_lo,
+        )
+        edges = build_edges(p, vs, inter)
+        # One group, so one position order across the three bands.
+        np.testing.assert_array_equal(edges.interaction_index, [2, 0, 1])
+        assert _pair_key(edges) == _pair_key(build_edges_brute_force(p, vs, inter))
+
+    def test_memory_is_bounded(self):
+        # Criterion 7's shape.  Only one group's candidates are live at a
+        # time: the tracemalloc peak of one call read 2.7 MB (median) and
+        # 3.0 MB (max) over these streams, against 7.9 and 11.9 MB when all
+        # bands are paired as one group.
+        p = ModelParams(0.25, 0.7, 0.2, 2000.0)
+        scfg = SamplerConfig(master_seed=7, w_min=1e-8)
+        for stream in range(10):
+            vs = sample_vertices(p, scfg, stream)
+            inter = sample_interactions(p, scfg, vs, stream)
+            tracemalloc.start()
+            try:
+                build_edges(p, vs, inter)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000, f"stream {stream}"
 
     def test_vertex_order_irrelevant(self):
         rng = np.random.default_rng(5)
