@@ -25,6 +25,7 @@ from .sampler import (
     _born_in_horizon,
     _jump_sizes,
     _nu_tail,
+    _whole_blocks,
     limit_jump_threshold,
     sample_limit_band,
     sample_limit_points,
@@ -37,6 +38,10 @@ SLOPE_REL_TOL = 1e-9  # slope check tolerance beyond the evaluations' rounding
 # counts, then its points, for all of its replicates at once, so the block
 # size fixes the order of RNG draws: changing it changes every marginal.
 _MARGINAL_CHUNK = 4096
+
+# Most points whose jump sizes stable_band_marginals draws and sums at once,
+# unless one replicate holds more.  Any size gives the same values.
+_MARGINAL_POINTS = 32_768
 
 
 @dataclass
@@ -305,6 +310,14 @@ def stable_band_marginals(
 
     Vectorized across replicates; equivalent in law to building each band
     path and evaluating it at t, but cheap enough for large ensembles.
+    Replicates come in chunks of _MARGINAL_CHUNK, and each chunk draws per
+    component its counts, births and deaths at once, then its jump sizes in
+    blocks of whole replicates of at most _MARGINAL_POINTS points (or one
+    replicate), each block summed per replicate by one bincount.  Splitting
+    one draw into consecutive draws leaves every value unchanged, so the
+    blocks bound the memory of the jump sizes and their products without
+    moving a bit; the births and deaths, two doubles per point of a chunk,
+    remain.
     """
     require_stable(params)
     if not 0 < j_lo < j_hi:
@@ -314,19 +327,27 @@ def stable_band_marginals(
     if np.isfinite(j_hi):
         rate -= _nu_tail(params, j_hi)
     out = np.zeros(reps)
-    done = 0
-    while done < reps:
+    for done in range(0, reps, _MARGINAL_CHUNK):
         m = min(_MARGINAL_CHUNK, reps - done)
         for component in (_alive_at_zero, _born_in_horizon):
-            counts, b, d = component(rng, rate, m)
-            if component is _born_in_horizon:
-                d += b  # lifetimes to death times
-            jumps = _jump_sizes(params, j_lo, j_hi, 1.0 - rng.random(size=len(b)))
-            contrib = jumps * (t - b) * ((b <= t) & (t <= d))
-            rep = np.repeat(np.arange(m), counts)
-            out[done : done + m] += np.bincount(rep, weights=contrib, minlength=m)
-        done += m
+            _add_alive_sums(out[done : done + m], component, rate, params, j_lo, j_hi, t, rng)
     return out
+
+
+def _add_alive_sums(out, component, rate, params, j_lo, j_hi, t, rng) -> None:
+    """Adds to out[k] the sum of J * (t - B) over the points alive at t of
+    replicate k, len(out) replicates drawn by one component.  The arrays of
+    the component's points live only in this call, so they are freed before
+    the next component draws."""
+    counts, b, d = component(rng, rate, len(out))
+    if component is _born_in_horizon:
+        d += b  # lifetimes to death times
+    for r0, r1, p0, p1 in _whole_blocks(counts, _MARGINAL_POINTS):
+        jumps = _jump_sizes(params, j_lo, j_hi, 1.0 - rng.random(size=p1 - p0))
+        bb, dd = b[p0:p1], d[p0:p1]
+        contrib = jumps * (t - bb) * ((bb <= t) & (t <= dd))
+        rep = np.repeat(np.arange(r1 - r0), counts[r0:r1])
+        out[r0:r1] += np.bincount(rep, weights=contrib, minlength=r1 - r0)
 
 
 def stable_marginals(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .sampler import InteractionSample, VertexSample
+from .sampler import InteractionSample, VertexSample, _whole_blocks
 
 
 @dataclass
@@ -82,6 +82,10 @@ _GROUP_SPREAD = 2.0
 # interactions at or after that floor.
 _BIRTH_FLOORS = (0.0, -1.0, -np.inf)
 
+# Most candidate pairs build_edges expands at once, unless one vertex has
+# more: a typical criterion-7 replicate has fewer in all.
+_CANDIDATE_BLOCK = 65_536
+
 
 def build_edges(
     params: ModelParams,
@@ -90,15 +94,16 @@ def build_edges(
 ) -> EdgeSet:
     """All connected (vertex, interaction) pairs.
 
-    Each vertex's radius factor beta * u**(-gamma) and each interaction's
-    w**(-gamma_prime) are computed once.  The interactions arrive band after
-    band (band_counts), and consecutive nonempty bands are paired as one
-    group while their reach factors band_w_lo**(-gamma_prime) stay within a
-    factor 2 of the group's first: every radius in the group is at most the
-    vertex's radius times the group's largest factor.  An edge needs
-    birth <= r, so the vertices fall into birth classes by the highest
-    floor (0, -1, -inf) at or below their birth, and each class is matched
-    only against the group's interactions with r at or above its floor.
+    Each vertex's radius factor beta * u**(-gamma) is computed once, and an
+    interaction's w**(-gamma_prime) only for the candidates that pass the
+    time test.  The interactions arrive band after band (band_counts), and
+    consecutive nonempty bands are paired as one group while their reach
+    factors band_w_lo**(-gamma_prime) stay within a factor 2 of the group's
+    first: every radius in the group is at most the vertex's radius times
+    the group's largest factor.  An edge needs birth <= r, so the vertices
+    fall into birth classes by the highest floor (0, -1, -inf) at or below
+    their birth, and each class is matched only against the group's
+    interactions with r at or above its floor.
     With the vertices sorted by (class, position) once and those nested
     subsets sorted by position, one pair of sorted range queries per vertex
     and group yields every candidate pair.  The exact predicate alone
@@ -106,6 +111,12 @@ def build_edges(
     the vertex order, the grouping or the classes; only the order of the
     returned edges (group, class, vertex position, interaction position)
     does, and no caller reads it.
+
+    Memory stays bounded when a tiny vertex mark widens every band's margin
+    and the interactions number in the hundreds of thousands: a group's
+    sorted copies are freed once its pool is built, and its candidates are
+    expanded in blocks of consecutive vertices of at most _CANDIDATE_BLOCK
+    candidates (or one vertex), which keeps the edge order.
     """
     if len(vs) == 0 or len(interactions) == 0:
         return _no_edges()
@@ -121,42 +132,28 @@ def build_edges(
     v_radius = params.beta * vs.u[v_order] ** (-params.gamma)
     birth = vs.b[v_order]
     death = vs.death[v_order]
-    w_factor = interactions.w ** (-params.gamma_prime)
-    lo = np.empty(len(vs), dtype=np.intp)
-    hi = np.empty(len(vs), dtype=np.intp)
     parts = []
     for start, end, factor in _band_groups(interactions, params.gamma_prime):
-        order = start + np.argsort(interactions.z[start:end])
-        z = interactions.z[order]
-        r_by_z = interactions.r[order]
-        reach = v_radius * factor
-        # Class k searches the group's interactions at or after its floor,
-        # by position; the pool holds these nested subsets end to end.
-        subsets = []
-        offset = 0
-        for floor, cls in zip(_BIRTH_FLOORS, classes):
-            keep = r_by_z >= floor
-            subsets.append(order[keep])
-            zk = z[keep]
-            lo[cls] = offset + np.searchsorted(zk, x[cls] - reach[cls], side="left")
-            hi[cls] = offset + np.searchsorted(zk, x[cls] + reach[cls], side="right")
-            offset += len(zk)
-        pool = np.concatenate(subsets)
-        # Candidate k of vertex q is the pool's (lo[q] + k)-th.
+        pool, lo, hi = _group_pool(interactions, start, end, x, v_radius * factor, classes)
+        # Candidate k of vertex q is the pool's (lo[q] + k)-th; they are
+        # expanded a block of consecutive vertices at a time.
         counts = hi - lo
-        vrep = np.repeat(np.arange(len(vs)), counts)
         shift = lo - (np.cumsum(counts) - counts)
-        idx = pool[np.arange(len(vrep)) + np.repeat(shift, counts)]
-        # The exact predicate; the cheaper time test runs first and thins
-        # the candidates before the spatial test.  Survivors are taken by
-        # index, found once for the three arrays they select from.
-        r = interactions.r[idx]
-        alive = np.flatnonzero((birth[vrep] <= r) & (r <= death[vrep]))
-        vrep, idx, r = vrep[alive], idx[alive], r[alive]
-        near = np.flatnonzero(
-            np.abs(x[vrep] - interactions.z[idx]) <= v_radius[vrep] * w_factor[idx]
-        )
-        parts.append((vrep[near], idx[near], r[near]))
+        for q0, q1, first, stop in _whole_blocks(counts, _CANDIDATE_BLOCK):
+            vrep = np.repeat(np.arange(q0, q1), counts[q0:q1])
+            idx = pool[np.arange(first, stop) + np.repeat(shift[q0:q1], counts[q0:q1])]
+            # The exact predicate; the cheaper time test runs first and thins
+            # the candidates before the spatial test, which alone needs the
+            # interactions' w**(-gamma_prime).  Survivors are taken by index,
+            # found once for the three arrays they select from.
+            r = interactions.r[idx]
+            alive = np.flatnonzero((birth[vrep] <= r) & (r <= death[vrep]))
+            vrep, idx, r = vrep[alive], idx[alive], r[alive]
+            w_factor = interactions.w[idx] ** (-params.gamma_prime)
+            near = np.flatnonzero(
+                np.abs(x[vrep] - interactions.z[idx]) <= v_radius[vrep] * w_factor
+            )
+            parts.append((vrep[near], idx[near], r[near]))
     vrep, idx, r = (np.concatenate(arrays) for arrays in zip(*parts))
     return EdgeSet(
         vertex_index=v_order[vrep],
@@ -164,6 +161,34 @@ def build_edges(
         activation=r,
         deactivation=death[vrep],
     )
+
+
+def _group_pool(interactions, start, end, x, reach, classes):
+    """The indices of the group's interactions [start, end) as nested subsets
+    end to end, one per birth class: class k's holds those with r at or
+    above its floor, sorted by position; and lo, hi, where pool[lo[q]:hi[q]]
+    are the interactions within reach[q] of x[q] in vertex q's class subset.
+    The sorted copies live only in this call, and a subset that keeps the
+    whole group is searched without a copy."""
+    order = np.argsort(interactions.z[start:end])
+    order += start
+    z = interactions.z[order]
+    r_by_z = interactions.r[order]
+    keeps = [r_by_z >= floor for floor in _BIRTH_FLOORS]
+    del r_by_z
+    sizes = [np.count_nonzero(keep) for keep in keeps]
+    pool = np.empty(sum(sizes), dtype=np.intp)
+    lo = np.empty(len(x), dtype=np.intp)
+    hi = np.empty(len(x), dtype=np.intp)
+    offset = 0
+    for keep, size, cls in zip(keeps, sizes, classes):
+        whole = size == len(order)
+        pool[offset : offset + size] = order if whole else order[keep]
+        zk = z if whole else z[keep]
+        lo[cls] = offset + np.searchsorted(zk, x[cls] - reach[cls], side="left")
+        hi[cls] = offset + np.searchsorted(zk, x[cls] + reach[cls], side="right")
+        offset += size
+    return pool, lo, hi
 
 
 def _band_groups(interactions: InteractionSample, gamma_prime: float) -> list:

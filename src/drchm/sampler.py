@@ -20,11 +20,12 @@ vertices and is checked against a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, TruncationError, check_number, require_stable
+from .model import ModelParams, RegimeError, TruncationError, check_number, require_stable
 from .rng import stream_generator, substream_generator
 
 
@@ -129,7 +130,7 @@ def _alive_at_zero(rng: np.random.Generator, rate: float, size=None):
     total = int(np.sum(counts))
     age = rng.exponential(size=total)
     residual = rng.exponential(size=total)
-    return counts, -age, residual
+    return counts, np.negative(age, out=age), residual
 
 
 def _born_in_horizon(rng: np.random.Generator, rate: float, size=None):
@@ -183,7 +184,8 @@ def sample_interactions(
     """Sample every interaction (with w >= w_min) that can touch the sample.
 
     Raises TruncationError when the missed-edge bound exceeds the configured
-    tolerance; lower w_min in that case.
+    tolerance; lower w_min in that case.  Raises RegimeError when a band's
+    window n + 2 * margin is past the float range; raise w_min then.
     """
     bound = missed_edge_bound(params, vs, cfg.w_min)
     if bound > cfg.missed_edge_tolerance:
@@ -201,8 +203,16 @@ def sample_interactions(
 
     zs, ws, rs, counts, lo_edges = [], [], [], [], []
     for w_hi, w_lo in weight_bands(cfg):
-        margin = params.beta * u_min ** (-params.gamma) * w_lo ** (-params.gamma_prime)
+        try:
+            margin = params.beta * u_min ** (-params.gamma) * w_lo ** (-params.gamma_prime)
+        except OverflowError:  # w_lo**(-gamma_prime) alone is past the float range
+            margin = math.inf
         length = params.n + 2.0 * margin
+        if length == math.inf:
+            raise RegimeError(
+                f"the weight band at w = {w_lo:.3g} would be sampled over a "
+                f"margin past the float range (u_min = {u_min:.3g}); raise w_min"
+            )
         count = rng.poisson(length * (w_hi - w_lo) * (1.0 - t_lo))
         zs.append(rng.uniform(-margin, params.n + margin, size=count))
         ws.append(rng.uniform(w_lo, w_hi, size=count))
@@ -210,14 +220,35 @@ def sample_interactions(
         counts.append(count)
         lo_edges.append(w_lo)
 
+    # One array at a time, each band list dropped once joined, so that at
+    # most one array's bands and its join are held beside the finished ones.
+    z, zs = np.concatenate(zs), None
+    w, ws = np.concatenate(ws), None
+    r, rs = np.concatenate(rs), None
     return InteractionSample(
-        z=np.concatenate(zs),
-        w=np.concatenate(ws),
-        r=np.concatenate(rs),
+        z=z,
+        w=w,
+        r=r,
         band_counts=np.array(counts),
         band_w_lo=np.array(lo_edges),
         missed_edge_bound=bound,
     )
+
+
+def _whole_blocks(counts: np.ndarray, size: int):
+    """Consecutive runs [a, b) of items holding counts[i] elements each, every
+    run at most size elements or a single item, as (a, b, first element,
+    past-last element); the elements are numbered item after item."""
+    ends = np.cumsum(counts)
+    if len(ends) and ends[-1] <= size:  # the common case: one block
+        yield 0, len(counts), 0, int(ends[-1])
+        return
+    a = 0
+    while a < len(counts):
+        start = int(ends[a] - counts[a])
+        b = max(a + 1, int(np.searchsorted(ends, start + size, side="right")))
+        yield a, b, start, int(ends[b - 1])
+        a = b
 
 
 def limit_jump_threshold(params: ModelParams, epsilon: float) -> float:

@@ -1,9 +1,12 @@
 """Gaussian-grid and truncated-jump-path limit samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
 
+from drchm import limits
 from drchm.experiments import _write_grid_csv
 from drchm.limits import (
     GaussianGrid,
@@ -20,9 +23,14 @@ from drchm.oracles import (
     stable_band_variance,
     stable_mean,
 )
+from drchm.rng import stream_generator
 from drchm.sampler import (
     LimitPointSample,
     SamplerConfig,
+    _alive_at_zero,
+    _born_in_horizon,
+    _jump_sizes,
+    _nu_tail,
     limit_jump_threshold,
     sample_limit_band,
 )
@@ -219,6 +227,79 @@ class TestStableSampling:
             + quick_vals.var(ddof=1) / len(quick_vals)
         )
         assert abs(path_vals.mean() - quick_vals.mean()) <= 4 * pooled_se
+
+
+def _marginals_chunk_at_once(params, j_lo, j_hi, t, reps, cfg, stream=0):
+    """stable_band_marginals as it was before the point blocks: each chunk
+    draws every jump uniform of a component at once and sums the whole
+    chunk by one bincount."""
+    rng = stream_generator(cfg.master_seed, stream)
+    rate = _nu_tail(params, j_lo)
+    if np.isfinite(j_hi):
+        rate -= _nu_tail(params, j_hi)
+    out = np.zeros(reps)
+    done = 0
+    while done < reps:
+        m = min(limits._MARGINAL_CHUNK, reps - done)
+        for component in (_alive_at_zero, _born_in_horizon):
+            counts, b, d = component(rng, rate, m)
+            if component is _born_in_horizon:
+                d += b  # lifetimes to death times
+            jumps = _jump_sizes(params, j_lo, j_hi, 1.0 - rng.random(size=len(b)))
+            contrib = jumps * (t - b) * ((b <= t) & (t <= d))
+            rep = np.repeat(np.arange(m), counts)
+            out[done : done + m] += np.bincount(rep, weights=contrib, minlength=m)
+        done += m
+    return out
+
+
+class TestBlockedMarginals:
+    """The point blocks change no bit of any marginal."""
+
+    @pytest.mark.parametrize("seed", [1, 2024])
+    @pytest.mark.parametrize(
+        "eps, j_hi, reps",
+        [
+            (0.005, np.inf, 4097),  # one replicate past a whole chunk
+            (0.005, np.inf, 9000),
+            (0.005, 0.1, 9000),  # a finite band
+            (1.0, np.inf, 9000),  # about e**-1 of the replicates hold no point
+            (1e-5, np.inf, 3),  # each replicate is more than one block
+        ],
+    )
+    def test_equal_to_chunk_at_once(self, params_s, seed, eps, j_hi, reps):
+        cfg = SamplerConfig(master_seed=seed)
+        j_lo = limit_jump_threshold(params_s, eps)
+        if eps == 1e-5:
+            assert _nu_tail(params_s, j_lo) > 2 * limits._MARGINAL_POINTS
+        got = stable_band_marginals(params_s, j_lo, j_hi, 0.5, reps, cfg, stream=7)
+        want = _marginals_chunk_at_once(params_s, j_lo, j_hi, 0.5, reps, cfg, stream=7)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("points", [1, 5, 333])
+    def test_any_block_size(self, params_s, monkeypatch, points):
+        # Blocks of a few points: most blocks are one replicate, and block
+        # edges fall between and after replicates with no point.
+        monkeypatch.setattr(limits, "_MARGINAL_POINTS", points)
+        cfg = SamplerConfig(master_seed=3)
+        for eps, t in ((0.1, 0.3), (1.0, 0.9)):
+            j_lo = limit_jump_threshold(params_s, eps)
+            got = stable_band_marginals(params_s, j_lo, np.inf, t, 5000, cfg)
+            want = _marginals_chunk_at_once(params_s, j_lo, np.inf, t, 5000, cfg)
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_is_bounded(self, params_s):
+        # The benchmark's size.  The births and deaths of one chunk's
+        # component are the peak: 14.9 MB measured, against 52.7 MB when a
+        # chunk drew and summed all of its points at once.
+        cfg = SamplerConfig(master_seed=1)
+        tracemalloc.start()
+        try:
+            stable_marginals(params_s, 0.005, 0.5, 20_000, cfg, stream=11_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
 
 
 class TestRefinement:

@@ -1,12 +1,14 @@
 """Edge construction, step paths, and the exact pathwise identities."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drchm import paths
 from drchm.model import ModelParams
 from drchm.paths import (
     StepPath,
@@ -114,6 +116,13 @@ class TestBuildEdges:
         assert len(build_edges(p, empty_v, empty_i)) == 0
 
 
+def _assert_same_edges(a, b):
+    """The same edges in the same order, bit for bit."""
+    for name in ("vertex_index", "interaction_index", "activation", "deactivation"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
 def _pair_key(edges):
     return sorted(
         zip(edges.vertex_index, edges.interaction_index, edges.activation, edges.deactivation)
@@ -185,7 +194,11 @@ class TestPairingProperties:
         with np.errstate(over="ignore"):
             fast = build_edges(p, vs, inter)
             slow = build_edges_brute_force(p, vs, inter)
+            # Blocks of a few candidates, most of them one vertex's.
+            with mock.patch.object(paths, "_CANDIDATE_BLOCK", 3):
+                blocked = build_edges(p, vs, inter)
         assert _pair_key(fast) == _pair_key(slow)
+        _assert_same_edges(blocked, fast)
 
     def test_deep_band_uses_its_own_reach(self):
         # Band 1 holds the small weights and so needs the long reach of its
@@ -231,8 +244,8 @@ class TestPairingProperties:
 
     def test_memory_is_bounded(self):
         # Criterion 7's shape.  Only one group's candidates are live at a
-        # time: the tracemalloc peak of one call read 2.7 MB (median) and
-        # 3.0 MB (max) over these streams, against 7.9 and 11.9 MB when all
+        # time: the tracemalloc peak of one call read 1.8 MB (median) and
+        # 2.0 MB (max) over these streams, against 7.9 and 11.9 MB when all
         # bands are paired as one group.
         p = ModelParams(0.25, 0.7, 0.2, 2000.0)
         scfg = SamplerConfig(master_seed=7, w_min=1e-8)
@@ -246,6 +259,29 @@ class TestPairingProperties:
             finally:
                 tracemalloc.stop()
             assert peak < 4_000_000, f"stream {stream}"
+
+    def test_heavy_replicate(self):
+        # Criterion 7's shape at seed 4, stream 100: the smallest vertex
+        # mark is 5.7e-8, so every band is sampled over a margin about 1e4
+        # wide, and the first group of bands holds 557 493 interactions.
+        # Its sorted copies and pool are the peak: 19.0 MB measured, against
+        # 39.8 MB with every class subset copied and all candidates of a
+        # group expanded at once.  Its 103 946 candidates span two blocks.
+        p = ModelParams(0.25, 0.7, 0.2, 2000.0)
+        scfg = SamplerConfig(master_seed=4, w_min=1e-8)
+        vs = sample_vertices(p, scfg, 100)
+        inter = sample_interactions(p, scfg, vs, 100)
+        assert len(inter) == 594_771
+        tracemalloc.start()
+        try:
+            edges = build_edges(p, vs, inter)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24_000_000
+        for block in (1000, 10**9):  # many blocks, or one per group
+            with mock.patch.object(paths, "_CANDIDATE_BLOCK", block):
+                _assert_same_edges(build_edges(p, vs, inter), edges)
 
     def test_vertex_order_irrelevant(self):
         rng = np.random.default_rng(5)
