@@ -199,12 +199,16 @@ def _common_w_integral(params: ModelParams, d, a1, a2):
         v_sum = np.minimum((b_sum / d) ** ((1.0 - gp) / gp), 1.0)
         v_dif = np.minimum((b_dif / d) ** ((1.0 - gp) / gp), 1.0)
     out = (2.0 * params.beta * np.minimum(a1, a2)[:, None]) * (s * v_dif)
-    p, k = np.nonzero(v_sum > v_dif)
-    lo, half = v_dif[p, k], 0.5 * (v_sum[p, k] - v_dif[p, k])
-    wq = np.zeros(len(p))
+    # The live entries by flat index, gathered by take and scattered by put,
+    # which is exact because each entry is live at most once.
+    flat = np.flatnonzero(v_sum > v_dif)
+    p, k = np.divmod(flat, len(d))
+    lo = v_dif.take(flat)
+    half = 0.5 * (v_sum.take(flat) - lo)
+    wq = np.zeros(len(flat))
     for node, weight in zip(*gauss_rule(_OVERLAP_ORDER)):
         wq += weight * (lo + half * (node + 1.0)) ** (gp / (1.0 - gp))
-    out[p, k] += (2.0 * b_sum[p, 0] - d[k] * wq) * (s * half)
+    out.put(flat, out.take(flat) + (2.0 * b_sum.take(p) - d.take(k) * wq) * (s * half))
     return out
 
 

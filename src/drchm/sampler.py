@@ -185,7 +185,9 @@ def sample_interactions(
 
     Raises TruncationError when the missed-edge bound exceeds the configured
     tolerance; lower w_min in that case.  Raises RegimeError when a band's
-    window n + 2 * margin is past the float range; raise w_min then.
+    window n + 2 * margin is past the float range (raise w_min then), or
+    when the bands would draw more than _MAX_INTERACTIONS interactions in
+    expectation; both are checked before any band draws.
     """
     bound = missed_edge_bound(params, vs, cfg.w_min)
     if bound > cfg.missed_edge_tolerance:
@@ -200,8 +202,48 @@ def sample_interactions(
     rng = substream_generator(cfg.master_seed, stream, tag=1)
     t_lo = float(vs.b.min())
     u_min = float(vs.u.min())
+    bands = _band_table(params, cfg, t_lo, u_min)
 
-    zs, ws, rs, counts, lo_edges = [], [], [], [], []
+    # A band draws nothing when its count is 0, which consumes no generator
+    # state, so the bands that do draw see the same stream.
+    zs, ws, rs, counts = [], [], [], []
+    for w_hi, w_lo, margin, mean in bands:
+        count = rng.poisson(mean)
+        if count:
+            zs.append(rng.uniform(-margin, params.n + margin, size=count))
+            ws.append(rng.uniform(w_lo, w_hi, size=count))
+            rs.append(rng.uniform(t_lo, 1.0, size=count))
+        counts.append(count)
+
+    # One array at a time, each band list dropped once joined, so that at
+    # most one array's bands and its join are held beside the finished ones.
+    z, zs = _join(zs), None
+    w, ws = _join(ws), None
+    r, rs = _join(rs), None
+    return InteractionSample(
+        z=z,
+        w=w,
+        r=r,
+        band_counts=np.array(counts),
+        band_w_lo=np.array([w_lo for _, w_lo, _, _ in bands]),
+        missed_edge_bound=bound,
+    )
+
+
+# Most interactions a replicate may draw in expectation.  The largest window
+# (n = 1e9) draws about n * (1 - t_lo), some 2e10, before any margin;
+# 1e11 interactions would already hold 2.4 TB in z, w and r, and numpy's
+# Poisson sampler stops near 9e18.
+_MAX_INTERACTIONS = 1e11
+
+
+def _band_table(params: ModelParams, cfg: SamplerConfig, t_lo: float, u_min: float) -> list:
+    """(w_hi, w_lo, margin, Poisson mean) of each weight band: the band is
+    sampled on [-margin, n + margin], wide enough for every radius it can
+    produce against vertex marks >= u_min, over times [t_lo, 1].  Raises
+    RegimeError when a window is past the float range or the means sum past
+    _MAX_INTERACTIONS."""
+    table = []
     for w_hi, w_lo in weight_bands(cfg):
         try:
             margin = params.beta * u_min ** (-params.gamma) * w_lo ** (-params.gamma_prime)
@@ -213,26 +255,20 @@ def sample_interactions(
                 f"the weight band at w = {w_lo:.3g} would be sampled over a "
                 f"margin past the float range (u_min = {u_min:.3g}); raise w_min"
             )
-        count = rng.poisson(length * (w_hi - w_lo) * (1.0 - t_lo))
-        zs.append(rng.uniform(-margin, params.n + margin, size=count))
-        ws.append(rng.uniform(w_lo, w_hi, size=count))
-        rs.append(rng.uniform(t_lo, 1.0, size=count))
-        counts.append(count)
-        lo_edges.append(w_lo)
+        table.append((w_hi, w_lo, margin, length * (w_hi - w_lo) * (1.0 - t_lo)))
+    total = math.fsum(mean for _, _, _, mean in table)
+    if not total <= _MAX_INTERACTIONS:
+        raise RegimeError(
+            f"the weight bands would draw {total:.3g} interactions in "
+            f"expectation, past the cap of {_MAX_INTERACTIONS:.0e} per replicate "
+            f"(u_min = {u_min:.3g}); lower beta or n"
+        )
+    return table
 
-    # One array at a time, each band list dropped once joined, so that at
-    # most one array's bands and its join are held beside the finished ones.
-    z, zs = np.concatenate(zs), None
-    w, ws = np.concatenate(ws), None
-    r, rs = np.concatenate(rs), None
-    return InteractionSample(
-        z=z,
-        w=w,
-        r=r,
-        band_counts=np.array(counts),
-        band_w_lo=np.array(lo_edges),
-        missed_edge_bound=bound,
-    )
+
+def _join(parts: list) -> np.ndarray:
+    """The bands' arrays end to end; an empty float64 array when none drew."""
+    return np.concatenate(parts) if parts else np.array([])
 
 
 def _whole_blocks(counts: np.ndarray, size: int):

@@ -476,8 +476,8 @@ def test_overlap_live_entries_equal_single_distances(pairs, distances, live):
 def test_overlap_memory_is_bounded():
     # 625 pairs at 16 distances, all 10 000 entries live: the partial panels
     # are one pass over a vector of the 10 000 live entries, so the traced
-    # peak of one call is about 0.98 MB; one (live, 16) array of nodes
-    # would add 1.3 MB
+    # peak of one call is about 1.06 MB, the flat indices of the live
+    # entries included; one (live, 16) array of nodes would add 1.3 MB
     params = ModelParams(beta=0.4, gamma=0.3, gamma_prime=0.35, n=10.0)
     a = np.geomspace(1.0, 5.0, 25)
     i, j = (k.ravel() for k in np.indices((25, 25)))

@@ -485,22 +485,32 @@ class TestCLI:
         )
 
     @pytest.mark.parametrize(
-        "beta, gamma_prime, code", [(0.25, 0.999, 2), (1e-100, 0.999, 2), (0.25, 0.95, 0)]
+        "beta, gamma_prime, w_min, code, hint",
+        [
+            (0.25, 0.999, 5e-324, 2, "raise w_min"),
+            (1e-100, 0.999, 5e-324, 2, "raise w_min"),
+            (0.25, 0.95, 5e-324, 0, None),
+            (1e100, 0.2, 1e-5, 2, "lower beta"),
+        ],
+        ids=["0.25-0.999-2", "1e-100-0.999-2", "0.25-0.95-0", "1e+100-0.2-1e-05-2"],
     )
-    def test_margin_past_float_range_exit_two(self, tmp_path, capsys, beta, gamma_prime, code):
+    def test_margin_past_float_range_exit_two(
+        self, tmp_path, capsys, beta, gamma_prime, w_min, code, hint
+    ):
         # At w_min = 5e-324 and gamma_prime = 0.999 the last band's margin
         # is about 1.5e308 at beta 0.25, so n + 2 * margin overflows; at
         # beta 1e-100, w_min**(-gamma_prime) alone does.  At 0.95 this
-        # sample's margins fit.
+        # sample's margins fit.  At beta 1e100 every margin fits, but the
+        # first band's Poisson mean is past numpy's limit.
         data = _base_config(replicates=1)
         data["model"] = {"beta": beta, "gamma": 0.7, "gamma_prime": gamma_prime, "n": 5.0}
-        data["sampler"] = {"master_seed": 0, "w_min": 5e-324, "missed_edge_tolerance": 1e300}
+        data["sampler"] = {"master_seed": 0, "w_min": w_min, "missed_edge_tolerance": 1e300}
         cfg = self._write(tmp_path, data)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         if code == 2:
             assert err.startswith("error: parameter regime:") and err.count("\n") == 1
-            assert "raise w_min" in err
+            assert hint in err
 
     def _exit_two_one_line(self, tmp_path, capsys, kind, data):
         code = main([kind, "--config", self._write(tmp_path, data), "--out", str(tmp_path / "o")])

@@ -244,8 +244,8 @@ class TestPairingProperties:
 
     def test_memory_is_bounded(self):
         # Criterion 7's shape.  Only one group's candidates are live at a
-        # time: the tracemalloc peak of one call read 1.8 MB (median) and
-        # 2.0 MB (max) over these streams, against 7.9 and 11.9 MB when all
+        # time: the tracemalloc peak of one call read 1.7 MB (median) and
+        # 1.9 MB (max) over these streams, against 7.9 and 11.9 MB when all
         # bands are paired as one group.
         p = ModelParams(0.25, 0.7, 0.2, 2000.0)
         scfg = SamplerConfig(master_seed=7, w_min=1e-8)
@@ -264,7 +264,7 @@ class TestPairingProperties:
         # Criterion 7's shape at seed 4, stream 100: the smallest vertex
         # mark is 5.7e-8, so every band is sampled over a margin about 1e4
         # wide, and the first group of bands holds 557 493 interactions.
-        # Its sorted copies and pool are the peak: 19.0 MB measured, against
+        # Its sorted copies and pool are the peak: 19.6 MB measured, against
         # 39.8 MB with every class subset copied and all candidates of a
         # group expanded at once.  Its 103 946 candidates span two blocks.
         p = ModelParams(0.25, 0.7, 0.2, 2000.0)
@@ -414,6 +414,27 @@ class TestDecompositions:
         assert np.all(low.values == 0)
         np.testing.assert_allclose(high(grid), path(grid))
 
+    @pytest.mark.parametrize("thr", [0.0, 2.0])
+    def test_mark_split_one_side_empty(self, thr):
+        # Below every mark the low side is empty, above every mark the high
+        # side; the empty side is the zero path and keeps the float64 layout.
+        p, vs, edges = self._edges(0)
+        path = edge_count_path(edges)
+        low, high = mark_split_paths(edges, vs, thr)
+        full, empty = (high, low) if thr == 0.0 else (low, high)
+        np.testing.assert_array_equal(full.times, path.times)
+        np.testing.assert_array_equal(full.values, path.values)
+        np.testing.assert_array_equal(empty.times, [0.0])
+        np.testing.assert_array_equal(empty.values, [0.0])
+        for side in (low, high):
+            assert side.times.dtype == side.values.dtype == np.float64
+        every = paths._subset(edges, np.ones(len(edges), dtype=bool))
+        none = paths._subset(edges, np.zeros(len(edges), dtype=bool))
+        assert len(every) == len(edges) and len(none) == 0
+        for a in (every, none):
+            assert a.vertex_index.dtype.kind == a.interaction_index.dtype.kind == "i"
+            assert a.activation.dtype == a.deactivation.dtype == np.float64
+
 
 # Event and evaluation times: horizon ends, dyadic interior points (so ties
 # are exact) and times outside the horizon.
@@ -480,6 +501,22 @@ class TestEdgeCountAt:
             counts = edge_count_at(edges, np.array(t))
             assert isinstance(counts, np.ndarray) and counts.dtype == np.float64
             assert counts.shape == (len(t),)
+
+    def test_empty_edge_set(self):
+        # No edges: zero counts at every time, float64 and shaped like t,
+        # and the path is the constant 0.
+        empty = paths._no_edges()
+        assert empty.vertex_index.dtype.kind == empty.interaction_index.dtype.kind == "i"
+        count = edge_count_at(empty, 0.5)
+        assert isinstance(count, float) and count == 0.0
+        for t in ([], [0.0, 0.5, 1.0], [[0.25], [0.75]]):
+            counts = edge_count_at(empty, np.array(t))
+            assert counts.dtype == np.float64 and counts.shape == np.shape(t)
+            assert np.all(counts == 0.0)
+        path = edge_count_path(empty)
+        for a in (path.times, path.values):
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a, [0.0])
 
     def test_hand_example(self):
         # Vertex 0 (low) carries three edges sharing death 0.5; vertex 1

@@ -213,6 +213,20 @@ class TestInteractionSampler:
         vs = sample_vertices(p, scfg, 0)
         assert len(sample_interactions(p, scfg, vs, 0)) == 0
 
+    def test_every_band_empty(self, scfg):
+        # One vertex and Poisson means near 1e-12: every band draws 0, and
+        # the empty join keeps the float64 layout of a sample that drew.
+        p = ModelParams(1e-12, 0.2, 0.2, 1e-12)
+        vs = VertexSample(x=np.zeros(1), u=np.ones(1), b=np.array([0.5]), l=np.ones(1))
+        out = sample_interactions(p, scfg, vs, 0)
+        bands = weight_bands(scfg)
+        assert len(out) == 0
+        for a in (out.z, out.w, out.r):
+            assert a.dtype == np.float64 and a.shape == (0,)
+        np.testing.assert_array_equal(out.band_counts, np.zeros(len(bands)))
+        assert out.band_counts.dtype.kind == "i"
+        np.testing.assert_array_equal(out.band_w_lo, [lo for _, lo in bands])
+
     def test_band_zero_count_law(self, scfg):
         # band 0 count ~ Poisson((n + 2 M0) (w0 - w1) span)
         p = ModelParams(0.25, 0.2, 0.2, 10.0)
