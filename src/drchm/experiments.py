@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -73,7 +74,10 @@ MAX_WINDOW = 1e9
 
 # Smallest truncation level of the heavy-tailed limit: a limit replicate
 # holds about 2 / epsilon jump points, as a window holds about 2n vertices,
-# so the same memory bound applies.
+# so the same memory bound applies to a limit path (sample_limit_points and
+# StablePath's dense evaluation).  The limit marginals hold one block of
+# whole replicates, not a chunk of them, so they do not scale with
+# 1 / epsilon until one replicate outgrows a block.
 MIN_EPSILON = 1 / MAX_WINDOW
 
 # Most replicate worker threads.  A fixed cap, not one based on the core
@@ -289,13 +293,48 @@ def edge_count_ensemble(
 def _replicate_map(task, streams, workers: int) -> list:
     """[task(s) for s in streams] on min(workers, usable cores) threads, or
     serially when that is 1.  Each replicate draws only from its own streams,
-    so the thread count cannot change the results."""
+    so the thread count cannot change the results.
+
+    The calling thread is one of the threads: it starts the others as a pool
+    of one fewer, and every thread takes the next replicate from one locked
+    counter and stores its result at the replicate's index.  The caller
+    reuses the heap its own work has grown, so only the pool's threads open
+    new malloc arenas.  Once a replicate raises, no new replicate starts, and
+    when the running ones are done the lowest failing replicate's exception
+    is raised, as the serial loop raises it: replicates start in index
+    order, so every lower one has started by then."""
     affinity = getattr(os, "sched_getaffinity", None)
     threads = min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(task, streams))
-    return [task(s) for s in streams]
+    if threads <= 1:
+        return [task(s) for s in streams]
+    streams = list(streams)
+    results = [None] * len(streams)
+    failures = {}
+    lock = threading.Lock()
+    indices = iter(range(len(streams)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = task(streams[i])
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+                if not isinstance(exc, Exception):
+                    raise  # an interrupt or exit ends this thread at once
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _window_ladder(cfg: ExperimentConfig, ladder, eval_times):

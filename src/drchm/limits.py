@@ -311,18 +311,23 @@ def stable_band_marginals(
     Vectorized across replicates; equivalent in law to building each band
     path and evaluating it at t, but cheap enough for large ensembles.
     Replicates come in chunks of _MARGINAL_CHUNK, and each chunk draws per
-    component its counts, births and deaths at once, then its jump sizes in
-    blocks of whole replicates of at most _MARGINAL_POINTS points (or one
-    replicate), each block summed per replicate by one bincount.  Splitting
-    one draw into consecutive draws leaves every value unchanged, so the
-    blocks bound the memory of the jump sizes and their products without
-    moving a bit; the births and deaths, two doubles per point of a chunk,
-    remain.
+    component its counts, then every birth, then every second mark (death or
+    lifetime), then the jump sizes, in the order the component's arrays
+    would be drawn whole.  The points are cut into blocks of whole replicates
+    of at most _MARGINAL_POINTS points (or one replicate).  A first walk
+    draws the births block by block and then the second marks, keeping only
+    the generator state at each block's start; then each block re-draws its
+    births and second marks from those states on a side generator, while
+    the stream's generator draws the block's jump uniforms, and the block is
+    summed per replicate by one bincount.  Splitting one draw into
+    consecutive draws leaves every value unchanged, so the call holds one
+    block's arrays at any epsilon without moving a bit.
     """
     require_stable(params)
     if not 0 < j_lo < j_hi:
         raise ValueError(f"need 0 < j_lo < j_hi, got ({j_lo}, {j_hi})")
     rng = stream_generator(cfg.master_seed, stream)
+    side = stream_generator(cfg.master_seed, stream)  # its state is set per block
     rate = _nu_tail(params, j_lo)
     if np.isfinite(j_hi):
         rate -= _nu_tail(params, j_hi)
@@ -330,22 +335,32 @@ def stable_band_marginals(
     for done in range(0, reps, _MARGINAL_CHUNK):
         m = min(_MARGINAL_CHUNK, reps - done)
         for component in (_alive_at_zero, _born_in_horizon):
-            _add_alive_sums(out[done : done + m], component, rate, params, j_lo, j_hi, t, rng)
+            _add_alive_sums(
+                out[done : done + m], component, rate, params, j_lo, j_hi, t, rng, side
+            )
     return out
 
 
-def _add_alive_sums(out, component, rate, params, j_lo, j_hi, t, rng) -> None:
+def _add_alive_sums(out, component, rate, params, j_lo, j_hi, t, rng, side) -> None:
     """Adds to out[k] the sum of J * (t - B) over the points alive at t of
-    replicate k, len(out) replicates drawn by one component.  The arrays of
-    the component's points live only in this call, so they are freed before
-    the next component draws."""
-    counts, b, d = component(rng, rate, len(out))
-    if component is _born_in_horizon:
-        d += b  # lifetimes to death times
-    for r0, r1, p0, p1 in _whole_blocks(counts, _MARGINAL_POINTS):
+    replicate k, len(out) replicates drawn by one component from rng; side
+    re-draws each block's marks."""
+    counts = component.counts(rng, rate, len(out))
+    blocks = list(_whole_blocks(counts, _MARGINAL_POINTS))
+    starts = ([], [])  # the generator state at each block's births, seconds
+    for law, states in zip((component.births, component.seconds), starts):
+        for _, _, p0, p1 in blocks:
+            states.append(rng.bit_generator.state)
+            law(rng, p1 - p0)
+    for (r0, r1, p0, p1), b_state, d_state in zip(blocks, *starts):
+        side.bit_generator.state = b_state
+        b = component.births(side, p1 - p0)
+        side.bit_generator.state = d_state
+        d = component.seconds(side, p1 - p0)
+        if component is _born_in_horizon:
+            d += b  # lifetimes to death times
         jumps = _jump_sizes(params, j_lo, j_hi, 1.0 - rng.random(size=p1 - p0))
-        bb, dd = b[p0:p1], d[p0:p1]
-        contrib = jumps * (t - bb) * ((bb <= t) & (t <= dd))
+        contrib = jumps * (t - b) * ((b <= t) & (t <= d))
         rep = np.repeat(np.arange(r1 - r0), counts[r0:r1])
         out[r0:r1] += np.bincount(rep, weights=contrib, minlength=r1 - r0)
 

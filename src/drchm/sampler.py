@@ -7,7 +7,8 @@ with independent Exp(1) age and residual lifetime) and those born in (0, 1]
 (Poisson(n) many, Exp(1) lifetime).  Vertices dead before 0 or born after 1
 cannot carry an edge on the horizon and are never generated.  The jump points
 of the heavy-tailed limit follow the same birth-death law, and both draw each
-component with the same function (_alive_at_zero, _born_in_horizon).
+component with the same _Component (_alive_at_zero, _born_in_horizon), which
+defines the law of its counts and of each mark once.
 
 Interactions have unbounded connection radii as their weight w approaches 0,
 so a finite sample truncates at w >= w_min.  The truncation is organised in
@@ -21,6 +22,7 @@ vertices and is checked against a tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,25 +124,47 @@ def sample_vertices(
     )
 
 
-def _alive_at_zero(rng: np.random.Generator, rate: float, size=None):
-    """Poisson(rate) points alive at time 0 (a count per replicate when size
-    is given) with independent Exp(1) age and residual lifetime.  Returns the
-    counts, the births -age and the deaths, i.e. the residual lifetimes."""
-    counts = rng.poisson(rate, size=size)
-    total = int(np.sum(counts))
-    age = rng.exponential(size=total)
-    residual = rng.exponential(size=total)
-    return counts, np.negative(age, out=age), residual
+@dataclass(frozen=True)
+class _Component:
+    """One birth-death component: Poisson(rate) points (a count per replicate
+    when size is given), then every point's birth, then every point's second
+    mark, each mark drawn point after point by births(rng, k) and
+    seconds(rng, k) for k points.  Calling it draws all three at once and
+    returns (counts, births, second marks); drawing the marks of consecutive
+    runs of points one run at a time gives the same values."""
+
+    births: Callable[[np.random.Generator, int], np.ndarray]
+    seconds: Callable[[np.random.Generator, int], np.ndarray]
+
+    @staticmethod
+    def counts(rng: np.random.Generator, rate: float, size=None):
+        return rng.poisson(rate, size=size)
+
+    def __call__(self, rng: np.random.Generator, rate: float, size=None):
+        counts = self.counts(rng, rate, size)
+        total = int(np.sum(counts))
+        return counts, self.births(rng, total), self.seconds(rng, total)
 
 
-def _born_in_horizon(rng: np.random.Generator, rate: float, size=None):
-    """Poisson(rate) points born in (0, 1] (a count per replicate when size is
-    given) with Exp(1) lifetimes.  Returns the counts, births and lifetimes."""
-    counts = rng.poisson(rate, size=size)
-    total = int(np.sum(counts))
-    birth = rng.uniform(0.0, 1.0, size=total)
-    lifetime = rng.exponential(size=total)
-    return counts, birth, lifetime
+def _minus_exponential(rng: np.random.Generator, k: int) -> np.ndarray:
+    age = rng.exponential(size=k)
+    return np.negative(age, out=age)
+
+
+def _exponential(rng: np.random.Generator, k: int) -> np.ndarray:
+    return rng.exponential(size=k)
+
+
+def _unit_uniform(rng: np.random.Generator, k: int) -> np.ndarray:
+    return rng.uniform(0.0, 1.0, size=k)
+
+
+# Points alive at time 0, with independent Exp(1) age and residual lifetime:
+# the births are -age and the second marks the deaths, i.e. the residuals.
+_alive_at_zero = _Component(births=_minus_exponential, seconds=_exponential)
+
+# Points born in (0, 1]: uniform births, and Exp(1) lifetimes as second marks.
+_born_in_horizon = _Component(births=_unit_uniform, seconds=_exponential)
 
 
 def weight_bands(cfg: SamplerConfig) -> list[tuple[float, float]]:

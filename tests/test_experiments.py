@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import os
+import sys
+import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -235,7 +238,9 @@ class TestStrictJson:
 
 
 class TestEnsemble:
-    def test_worker_count_irrelevant(self, tmp_path):
+    def test_worker_count_irrelevant(self, tmp_path, monkeypatch):
+        # Eight usable cores, so that 2 and 4 workers run 2 and 4 threads.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         p = ModelParams(0.25, 0.2, 0.2, 30.0)
         scfg = SamplerConfig(master_seed=5)
         serial = edge_count_ensemble(p, scfg, (0.5,), 20, workers=1)
@@ -251,16 +256,18 @@ class TestEnsemble:
             ("limit-s", _base_config(kind="sample-limit", replicates=6, model=stable, epsilon=0.1)),
         ):
             outs = []
-            for workers in (1, 4):
+            for workers in (1, 2, 4):
                 out = tmp_path / f"{name}-{workers}"
                 run_experiment(
                     ExperimentConfig.from_dict({**data, "out_dir": str(out), "workers": workers})
                 )
                 outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-            assert outs[0] and outs[0] == outs[1]
+            assert outs[0] and outs[0] == outs[1] == outs[2]
 
-    @pytest.mark.parametrize("cores, pools", [(1, []), (2, [2]), (8, [4])])
+    @pytest.mark.parametrize("cores, pools", [(1, []), (2, [1]), (8, [3])])
     def test_threads_sized_to_usable_cores(self, monkeypatch, cores, pools):
+        # The caller works too, so the pool is one thread fewer than the
+        # min(workers, usable cores) threads that run replicates.
         started = []
 
         class Pool(ThreadPoolExecutor):
@@ -274,6 +281,58 @@ class TestEnsemble:
         )
         assert _replicate_map(lambda s: s * s, range(10), 4) == [s * s for s in range(10)]
         assert started == pools
+
+    @pytest.mark.parametrize("cores, workers", [(1, 1), (2, 2), (8, 4)])
+    def test_lowest_failing_replicate_raised(self, monkeypatch, cores, workers):
+        # Replicate 3 fails late, after replicate 7 has failed on another
+        # thread; the serial loop would raise replicate 3's exception.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+        )
+
+        def task(s):
+            if s == 3:
+                time.sleep(0.05)
+            if s in (3, 7):
+                raise ValueError(f"replicate {s}")
+            return s
+
+        with pytest.raises(ValueError, match="replicate 3"):
+            _replicate_map(task, range(10), workers)
+
+    def test_each_replicate_runs_once_under_contention(self, monkeypatch):
+        # Eight threads on the host's cores, switching every microsecond: a
+        # replicate handed out twice or skipped shows in the calls or results.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        calls = []
+
+        def task(s):
+            calls.append(s)
+            return s * s
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _replicate_map(task, range(2000), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [s * s for s in range(2000)]
+        assert sorted(calls) == list(range(2000))
+
+    def test_caller_runs_replicates(self, monkeypatch):
+        # The first two replicates wait for each other, so they run at once
+        # on the two threads: the caller's and the pool's one.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        both = threading.Barrier(2, timeout=10)
+
+        def task(s):
+            if s < 2:
+                both.wait()
+            return threading.get_ident()
+
+        idents = _replicate_map(task, range(6), 2)
+        assert threading.get_ident() in idents[:2]
+        assert len(set(idents[:2])) == 2
 
     @pytest.mark.parametrize("n", [3.0, 20.0])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -482,6 +541,24 @@ class TestCLI:
         assert (
             main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
             == 3
+        )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_truncation_reports_lowest_failing_replicate(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        # At seed 1 the replicates' bounds are 0.512-0.982: replicates 5
+        # (0.743) and 8 (0.982) exceed the tolerance, and 0-4 do not.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        data = _base_config(replicates=10)
+        data["model"]["gamma"] = 0.7
+        data["sampler"] = {"master_seed": 1, "w_min": 1e-3, "missed_edge_tolerance": 0.74}
+        cfg = self._write(tmp_path, data)
+        argv = ["simulate", "--config", cfg, "--workers", workers, "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: truncation: expected missed edges 0.743 exceed tolerance 0.74; "
+            "lower w_min (lower sampler.w_min or raise sampler.missed_edge_tolerance)\n"
         )
 
     @pytest.mark.parametrize(

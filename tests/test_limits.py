@@ -288,18 +288,20 @@ class TestBlockedMarginals:
             want = _marginals_chunk_at_once(params_s, j_lo, np.inf, t, 5000, cfg)
             assert got.tobytes() == want.tobytes()
 
-    def test_memory_is_bounded(self, params_s):
-        # The benchmark's size.  The births and deaths of one chunk's
-        # component are the peak: 14.9 MB measured, against 52.7 MB when a
-        # chunk drew and summed all of its points at once.
+    @pytest.mark.parametrize("eps, reps", [(0.005, 20_000), (1e-3, 4097)])
+    def test_memory_is_bounded(self, params_s, eps, reps):
+        # The benchmark's size, and a whole chunk plus one replicate at 5x
+        # the points.  One block's arrays are the peak: 2.3 MB measured at
+        # both, against 14.9 and 67.2 MB when each chunk drew its births and
+        # deaths whole.
         cfg = SamplerConfig(master_seed=1)
         tracemalloc.start()
         try:
-            stable_marginals(params_s, 0.005, 0.5, 20_000, cfg, stream=11_000_000)
+            stable_marginals(params_s, eps, 0.5, reps, cfg, stream=11_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20_000_000
+        assert peak < 6_000_000
 
 
 class TestRefinement:
